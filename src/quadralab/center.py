@@ -410,15 +410,6 @@ def uqsl2_generator_search(alpha, field=QQi):
 
     solutions = []
     degenerate = []
-    proj = {}
-    for key, f in candidates:
-        m, n, e = key
-        proj[key] = (m, n, e)
-
-    def proj_equal(k1, k2):
-        # x_m + e x_n candidates are projectively equal iff identical here
-        return k1 == k2
-
     for kk, kf in candidates:
         for kpk, kpf in candidates:
             if kk == kpk:

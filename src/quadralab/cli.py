@@ -40,7 +40,7 @@ from .presentations import (
     invariant_table,
     sklyanin_relations,
 )
-from .scalars import DEFAULT_PRIME, GaussianRational, parse_scalar
+from .scalars import DEFAULT_PRIME, GaussianRational, PrimeField, parse_scalar
 from .selftest import run_acceptance
 from .symmetry import (
     gamma_maps,
@@ -142,6 +142,11 @@ def _abcd_params(args):
 
 def cmd_hilbert(args):
     alpha, beta, gamma = _alpha_params(args)
+    if args.mod_p is not None:
+        try:
+            PrimeField(args.mod_p)
+        except ValueError as exc:
+            raise SystemExit2(f"--mod-p: {exc}") from None
     quotient = GradedQuotient(sklyanin_relations(alpha, beta, gamma),
                               p=args.mod_p or DEFAULT_PRIME)
     backend = "modular" if args.mod_p else ("auto" if args.degree > 4 else "exact")

@@ -142,13 +142,6 @@ class FreeElement:
         """Sparse coordinates of the degree-n part in the lex word basis."""
         return {word_index(w): c for w, c in self.terms.items() if len(w) == n}
 
-    def coefficient_list(self, n: int):
-        dense = [0] * (NGENS ** n)
-        for w, c in self.terms.items():
-            if len(w) == n:
-                dense[word_index(w)] = c
-        return dense
-
     def render(self, labels=LABELS_X) -> str:
         if not self.terms:
             return "0"

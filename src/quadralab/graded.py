@@ -1,31 +1,39 @@
-"""Degree-truncated computation in the quotient TV/(R).
+"""Degree-truncated computation in the quotient A = TV/(R).
 
-The degree-n slice of the two-sided ideal (R) is spanned by the rows
-w * r * w' with r a relation and |w| + |w'| = n - 2.  Slices are built
-recursively:
+Dimensions come from the quotient side.  The ideal satisfies
+(R)_n = (R)_{n-1} (x) V + V^{(n-2)} (x) R, so
+
+    A_n = (A_{n-1} (x) V) / image(A_{n-2} (x) R)
+
+where a relation sum c_ab x_a x_b sends a basis element e of A_{n-2} to
+sum c_ab mu_a(e) (x) x_b, and mu_a : A_{n-1} -> A_n, right multiplication
+by x_a, is known from the degree below.  Each degree eliminates 6*d_{n-2}
+rows against 4*d_{n-1} columns with the generic sparse echelon, over the
+relation space's own field (backend "exact") or over F_p for a prime
+p = 1 (mod 4) (backend "modular"; Python integers, so nothing overflows).
+Pivots are lex-first and the lex order is multiplicative within a degree,
+so the basis words of A_n are exactly the normal words of the ideal slices.
+Over Q a rank mod p can only drop, so modular dimensions are upper bounds
+for the exact ones and are labeled as evidence, not proof.
+
+Membership, normal forms, centrality and certificates work on the ideal
+side, which zero tests over function fields need.  The degree-n slice of
+(R) is spanned by the rows w * r * w' with |w| + |w'| = n - 2, built as
 
     W_n = V (x) W_{n-1}  +  R (x) V^{(n-2)}
 
 The first summand contributes four disjoint column blocks (one per leading
 letter) that are already in echelon form, so only the 6*4^(n-2) relation
-rows need actual reduction.  dim A_n = 4^n - rank W_n.
-
-Two backends: exact sparse elimination over the relation space's own field
-(authoritative, used for all membership certificates and centrality), and
-dense elimination mod a prime p = 1 (mod 4) (fast rank evidence for higher
-degrees).  Over Q the modular rank can only drop, so modular dimensions are
-upper bounds for the exact ones and are labeled as evidence, not proof.
+rows need actual reduction.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .errors import DegreeCapExceeded, PreconditionViolated
 from .freealg import NGENS, FreeElement, commutator, from_vector, generators
-from .linalg import SparseEchelon, make_echelon, rref_mod_p, reduce_block_mod_p
+from .linalg import SparseEchelon, make_echelon
 from .presentations import RelationSpace
 from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME
 
@@ -95,80 +103,57 @@ class ExactSlices:
         return self.slice(n, force).reduce(vec)
 
 
-class ModularSlices:
-    """Dense RREF bases of the ideal slices mod p."""
+class QuotientTower:
+    """The graded pieces A_n over one field, built one degree at a time.
 
-    def __init__(self, space: RelationSpace, p: int = DEFAULT_PRIME):
-        self.space = space
-        self.prime_field = PrimeField(p)
-        self.p = p
-        self.rel_rows = self._reduced_relations()
-        self._cache = {}
+    ``words[n]`` holds the lex ranks of the basis words of A_n, increasing;
+    ``mu[n][j][i]`` is e_i * x_j as a sparse dict over the basis of A_n,
+    where e_i is the i-th basis element of A_{n-1}.
+    """
 
-    def _reduced_relations(self) -> np.ndarray:
-        rows = np.zeros((6, 16), dtype=np.int64)
-        for i, row in enumerate(self.space.rows):
-            for c, v in row.items():
-                if not isinstance(v, GaussianRational):
-                    raise PreconditionViolated(
-                        "modular backend needs Q(i) relation coefficients"
-                    )
-                rows[i, c] = self.prime_field.coerce(v).value
-        return rows
+    def __init__(self, field, rows):
+        self.field = field
+        self.rows = rows          # the relations: column a*4+b -> coefficient of x_a x_b
+        one = field.one()
+        self.words = [[0], list(range(NGENS))]
+        self.mu = [None, [[{j: one}] for j in range(NGENS)]]
 
-    def slice(self, n: int, force=False):
-        """(rref matrix, pivot column list) of the degree-n slice mod p."""
-        if n < 2:
-            raise ValueError("ideal slices start at degree 2")
-        _check_cap(n, force)
-        if n not in self._cache:
-            self._cache[n] = self._build(n, force)
-        return self._cache[n]
+    def dimension(self, n: int) -> int:
+        while len(self.words) <= n:
+            self._extend()
+        return len(self.words[n])
 
-    def _build(self, n: int, force: bool):
-        p = self.p
-        if n == 2:
-            return rref_mod_p(self.rel_rows.copy(), p)
-        basis_prev, pivots_prev = self.slice(n - 1, force)
-        width = NGENS ** (n - 1)
-        cols = NGENS ** n
-        suffix_count = NGENS ** (n - 2)
-        comp = np.zeros((6 * suffix_count, cols), dtype=np.int64)
-        for i in range(6):
-            row = self.rel_rows[i]
-            for c in row.nonzero()[0]:
-                base = int(c) * suffix_count
-                block = comp[i * suffix_count : (i + 1) * suffix_count]
-                block[np.arange(suffix_count), base + np.arange(suffix_count)] = row[c]
-        # reduce against each leading-letter block of V (x) W_{n-1}
-        for g in range(NGENS):
-            lo = g * width
-            reduce_block_mod_p(
-                comp[:, lo : lo + width], basis_prev, pivots_prev, p
-            )
-        comp %= p
-        comp_rref, comp_pivots = rref_mod_p(comp, p)
-        # assemble the full RREF basis: shifted previous blocks + complement
-        block_rank = len(pivots_prev)
-        total = NGENS * block_rank + len(comp_pivots)
-        full = np.zeros((total, cols), dtype=np.int64)
-        pivots = []
-        r = 0
-        for g in range(NGENS):
-            lo = g * width
-            full[r : r + block_rank, lo : lo + width] = basis_prev
-            pivots.extend(lo + c for c in pivots_prev)
-            r += block_rank
-        full[r:] = comp_rref
-        pivots.extend(comp_pivots)
-        # clear complement pivot columns inside the block rows (restores RREF)
-        if comp_pivots:
-            reduce_block_mod_p(full[: NGENS * block_rank], comp_rref, comp_pivots, p)
-        order = np.argsort(pivots)
-        return full[order], sorted(pivots)
-
-    def rank(self, n: int, force=False) -> int:
-        return len(self.slice(n, force)[1])
+    def _extend(self):
+        n = len(self.words)
+        below = self.mu[n - 1]
+        prev = self.words[n - 1]
+        # image of A_{n-2} (x) R in A_{n-1} (x) V; column = basis index * 4 + letter
+        ech = SparseEchelon(self.field)
+        for i in range(len(self.words[n - 2])):
+            for rel in self.rows:
+                row = {}
+                for c, v in rel.items():
+                    a, b = divmod(c, NGENS)
+                    for k, w in below[a][i].items():
+                        col = k * NGENS + b
+                        s = row.get(col)
+                        row[col] = v * w if s is None else s + v * w
+                ech.insert({c: v for c, v in row.items() if v})
+        free = [c for c in range(NGENS * len(prev)) if c not in ech.pivot_of]
+        index = {c: k for k, c in enumerate(free)}
+        self.words.append([prev[c // NGENS] * NGENS + c % NGENS for c in free])
+        one = self.field.one()
+        mu = [[] for _ in range(NGENS)]
+        for i in range(len(prev)):
+            for j in range(NGENS):
+                col = i * NGENS + j
+                if col in index:
+                    mu[j].append({index[col]: one})
+                else:
+                    # the residual of a pivot column lies on free columns only
+                    residual = ech.reduce({col: one})
+                    mu[j].append({index[c]: v for c, v in residual.items()})
+        self.mu.append(mu)
 
 
 class GradedQuotient:
@@ -177,27 +162,37 @@ class GradedQuotient:
     def __init__(self, space: RelationSpace, p: int = DEFAULT_PRIME):
         self.space = space
         self.exact = ExactSlices(space)
-        self._modular = None
         self.p = p
+        self._towers = {}
 
-    @property
-    def modular(self) -> ModularSlices:
-        if self._modular is None:
-            self._modular = ModularSlices(self.space, self.p)
-        return self._modular
+    def tower(self, backend="exact") -> QuotientTower:
+        """The quotient-side recursion over the field the backend names."""
+        if backend not in self._towers:
+            if backend == "exact":
+                tower = QuotientTower(self.space.field, self.space.rows)
+            elif backend == "modular":
+                tower = self._modular_tower()
+            else:
+                raise ValueError(f"unknown backend {backend!r}")
+            self._towers[backend] = tower
+        return self._towers[backend]
+
+    def _modular_tower(self) -> QuotientTower:
+        field = PrimeField(self.p)
+        rows = []
+        for row in self.space.rows:
+            if not all(isinstance(v, GaussianRational) for v in row.values()):
+                raise PreconditionViolated(
+                    "modular backend needs Q(i) relation coefficients"
+                )
+            rows.append({c: field.coerce(v) for c, v in row.items()})
+        return QuotientTower(field, rows)
 
     # -- dimensions ------------------------------------------------------
 
     def dimension(self, n: int, backend="exact", force=False) -> int:
-        if n == 0:
-            return 1
-        if n == 1:
-            return NGENS
-        if backend == "exact":
-            return NGENS ** n - self.exact.rank(n, force)
-        if backend == "modular":
-            return NGENS ** n - self.modular.rank(n, force)
-        raise ValueError(f"unknown backend {backend!r}")
+        _check_cap(n, force)
+        return self.tower(backend).dimension(n)
 
     def hilbert_function(self, top_degree: int, backend="auto", force=False):
         """HilbertProfile up to the requested degree.
@@ -211,13 +206,13 @@ class GradedQuotient:
             tag = backend
             if backend == "auto":
                 tag = "exact" if n <= 4 else "modular"
-            dims.append(self.dimension(n, "exact" if tag == "exact" else "modular", force))
+            dims.append(self.dimension(n, tag, force))
             tags.append(tag if n >= 2 else "exact")
         return HilbertProfile(dims, tags, self.space.label, self.p,
                               self.modular_sqrt_minus_one() if "modular" in tags else None)
 
     def modular_sqrt_minus_one(self):
-        return self.modular.prime_field.sqrt_minus_one
+        return self.tower("modular").field.sqrt_minus_one
 
     # -- membership and normal forms (always exact) -----------------------
 
@@ -247,7 +242,6 @@ class GradedQuotient:
         """
         if z.is_zero():
             return True, None
-        m = z.degree()
         gens = generators(self.space.field)
         for g, xg in enumerate(gens):
             if not self.contains(commutator(z, xg), force):

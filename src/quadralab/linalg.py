@@ -1,24 +1,17 @@
-"""Exact linear algebra over arbitrary scalar fields, plus a mod-p backend.
+"""Exact linear algebra over arbitrary scalar fields.
 
-The exact side works on sparse rows (dict column -> scalar) and is generic:
-any scalar with +, -, *, /, bool works (Q(i), rational functions, root
-adjunctions, prime fields).  Rows are kept in echelon form with the pivot
-at the leading (smallest) column, normalized to 1, so reduction against the
-basis scans columns left to right and never reintroduces a pivot column.
-Pivot choice is therefore "lex-first", which makes normal forms canonical.
-
-The modular side is dense numpy int64 arithmetic mod p.  Products of two
-reduced residues fit comfortably in int64 for p around 2^16, and batched
-row reduction against a reduced-row-echelon block uses a float64 matmul:
-entries below p < 2^17 keep the accumulated dot products below 2^53 for
-the matrix sizes the degree cap allows, so the matmul is exact.
+Rows are sparse (dict column -> scalar) and the code is generic: any scalar
+with +, -, *, /, bool works (Q(i), rational functions, root adjunctions,
+prime fields; prime-field elements hold Python integers, so no modulus can
+overflow).  Rows are kept in echelon form with the pivot at the leading
+(smallest) column, normalized to 1, so reduction against the basis scans
+columns left to right and never reintroduces a pivot column.  Pivot choice
+is therefore "lex-first", which makes normal forms canonical.
 """
 
 from __future__ import annotations
 
 import heapq
-
-import numpy as np
 
 
 class SparseEchelon:
@@ -405,33 +398,6 @@ def echelon_from_rows(field, rows, track=False):
     return ech
 
 
-def rank_of_rows(field, rows) -> int:
-    return echelon_from_rows(field, rows).rank
-
-
-def spans_equal(field, rows_a, rows_b) -> bool:
-    """Row-space equality via mutual containment plus a rank check."""
-    ech_a = echelon_from_rows(field, rows_a)
-    ech_b = echelon_from_rows(field, rows_b)
-    if ech_a.rank != ech_b.rank:
-        return False
-    return all(ech_a.contains(r) for r in rows_b)
-
-
-def solve_membership(field, rows, target):
-    """Express target as a combination of rows, or return None.
-
-    Returns {row index -> coefficient} with target = sum coeff * row.
-    """
-    ech = SparseEchelon(field, track=True)
-    for k, row in enumerate(rows):
-        ech.insert(row, tag=k)
-    residual, combo = ech.reduce_with_combo(target)
-    if residual:
-        return None
-    return combo
-
-
 # ---------------------------------------------------------------------------
 # dense matrices over small scalar fields (4x4 automorphism work)
 # ---------------------------------------------------------------------------
@@ -450,10 +416,6 @@ def sum_products(row, b, j, k):
     for t in range(1, k):
         total = total + row[t] * b[t][j]
     return total
-
-
-def mat_vec(a, v):
-    return [sum_products(row, [[x] for x in v], 0, len(v)) for row in a]
 
 
 def mat_inverse(field, a):
@@ -512,60 +474,3 @@ def proportional_matrices(field, a, b):
             elif r != ratio:
                 return None
     return ratio
-
-
-# ---------------------------------------------------------------------------
-# modular (mod p) dense elimination
-# ---------------------------------------------------------------------------
-
-
-def rref_mod_p(mat: np.ndarray, p: int):
-    """In-place reduced row echelon form mod p; returns (matrix, pivot cols).
-
-    The returned matrix view contains only the nonzero rows (one per pivot).
-    """
-    a = mat
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        rows = np.nonzero(a[r + 1:, c])[0]
-        if rows.size:
-            idx = rows + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    # back substitution to clear above the pivots
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        rows = np.nonzero(a[:k, c])[0]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[k])) % p
-    return a[: len(pivots)], pivots
-
-
-def reduce_block_mod_p(block: np.ndarray, basis: np.ndarray, basis_pivots, p: int):
-    """Reduce rows of ``block`` against an RREF ``basis`` (same width), mod p.
-
-    One pass suffices because the basis is fully reduced.  The matmul runs
-    in float64; entries are < p and the inner dimension times p^2 stays
-    below 2^53, so the products are exact.
-    """
-    if not basis_pivots:
-        return block
-    factors = block[:, basis_pivots].astype(np.float64)
-    update = factors @ basis.astype(np.float64)
-    block -= update.astype(np.int64)
-    block %= p
-    return block

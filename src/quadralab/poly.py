@@ -511,15 +511,6 @@ class RationalFunction:
             return hash(self.num)
         return hash((self.num, self.den))
 
-    def is_polynomial(self):
-        return self.den == self.ring.one()
-
-    def as_scalar(self) -> GaussianRational:
-        """The constant value, when num and den are both constants."""
-        if self.num.degree() > 0 or self.den.degree() > 0:
-            raise ValueError(f"{self} is not a constant")
-        return self.num.constant_term() / self.den.constant_term()
-
     def evaluate(self, values: dict):
         den = self.den.evaluate(values)
         if not den:

@@ -89,9 +89,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def norm(self):
         """re^2 + im^2; zero exactly when the element is zero."""
         return self.re * self.re + self.im * self.im
@@ -141,9 +138,6 @@ class GaussianRational:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    def is_rational(self):
-        return not self.im
 
     # -- formatting ------------------------------------------------------
 
@@ -285,7 +279,11 @@ def format_scalar(z: GaussianRational) -> str:
 
 DEFAULT_PRIME = 65537
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: Miller-Rabin with the bases above is proven deterministic below this bound
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
@@ -319,6 +317,11 @@ class PrimeField:
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        if p >= MR_DETERMINISTIC_BOUND:
+            raise ValueError(
+                f"{p} is not below {MR_DETERMINISTIC_BOUND}, the bound up to "
+                "which the primality test is proven"
+            )
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p % 4 != 1:

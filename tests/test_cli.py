@@ -22,6 +22,27 @@ class TestHilbert:
         assert payload["backend"] == "modular p=65537"
         assert payload["modular_sqrt_minus_one"] == 256
 
+    def test_large_prime_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
+            "--degree", "6", "--mod-p", "2147483713", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dims"] == [1, 4, 10, 16, 19, 20, 20]
+
+    @pytest.mark.parametrize("prime, reason", [
+        ("65539", "1 mod 4"),
+        ("65541", "not prime"),
+        ("0", "not prime"),
+        ("3317044064679887385961981", "3317044064679887385961981"),
+    ], ids=["three_mod_four", "composite", "zero", "above_primality_bound"])
+    def test_bad_prime_is_exit_two(self, capsys, prime, reason):
+        code, out, err = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
+            "--degree", "3", "--mod-p", prime)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --mod-p") and reason in err
+
     def test_exact_run(self, capsys):
         # negative literals need the --flag=value spelling under argparse
         code, out, _ = run_cli(

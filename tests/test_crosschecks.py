@@ -1,7 +1,7 @@
 """Cross-backend and cross-route validations.
 
-These tests pit independent computation paths against each other: exact
-sparse elimination vs dense modular elimination, identity-based relation
+These tests pit independent computation paths against each other: the
+quotient-side Hilbert recursion vs the ideal-side slices, identity-based relation
 preservation vs rank-based preservation over a root tower, and randomized
 robustness checks on the scalar parser.
 """
@@ -23,16 +23,20 @@ from quadralab.symmetry import ChlPsi
 
 
 class TestBackendCrossValidation:
-    def test_exact_equals_modular_at_degrees_five_and_six(self):
-        # the block-matmul modular path and the sparse exact path share no
-        # elimination code; agreement at the largest common scale is a
-        # strong mutual check
-        generic = GradedQuotient(sklyanin_relations(2, 3, 5))
-        skl = GradedQuotient(sklyanin_relations(2, -3, Fraction(-1, 5)))
-        for quotient in (generic, skl):
-            exact = quotient.hilbert_function(6, backend="exact").dims
-            modular = quotient.hilbert_function(6, backend="modular").dims
-            assert exact == modular
+    def test_quotient_side_equals_ideal_side(self):
+        # the recursion on A_{n-1} (x) V and the slices of (R) in V^n share
+        # only the echelon kernel: equal dimensions and equal normal words
+        # through degree 5 check the recursion's construction
+        for space in (sklyanin_relations(2, 3, 5),
+                      sklyanin_relations(2, -3, Fraction(-1, 5)),
+                      chl_relations(1, 2, -4, 2)):
+            quotient = GradedQuotient(space)
+            tower = quotient.tower("exact")
+            for n in range(2, 6):
+                ideal = quotient.exact.slice(n)
+                assert quotient.dimension(n) == 4 ** n - ideal.rank
+                assert tower.words[n] == [c for c in range(4 ** n)
+                                          if c not in ideal.pivot_of]
 
     def test_two_primes_agree(self):
         q1 = GradedQuotient(chl_relations(1, 2, -4, 2), p=65537)

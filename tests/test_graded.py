@@ -41,6 +41,12 @@ class TestHilbert:
         assert prof.dims == [1, 4, 10, 16, 19, 20, 20]
         assert prof.sqrt_minus_one == 256
 
+    def test_large_prime_does_not_overflow(self):
+        # p = 2147483713 > 2^31: a fixed-width kernel reported 1,4,10,16,4,4,4
+        quotient = GradedQuotient(sklyanin_relations(2, 3, 5), p=2147483713)
+        prof = quotient.hilbert_function(6, backend="modular")
+        assert prof.dims == [1, 4, 10, 16, 19, 20, 20]
+
     def test_backends_agree_to_degree_four(self, generic, sklyanin):
         for quotient in (generic, sklyanin,
                          GradedQuotient(chl_relations(1, 2, -4, 2))):

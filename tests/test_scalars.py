@@ -6,6 +6,7 @@ import pytest
 from quadralab.errors import NotInvertible, ScalarParseError
 from quadralab.scalars import (
     DEFAULT_PRIME,
+    MR_DETERMINISTIC_BOUND,
     GaussianRational,
     PrimeField,
     QQi,
@@ -95,6 +96,17 @@ class TestPrimeField:
             PrimeField(7)
         with pytest.raises(ValueError):
             PrimeField(100)
+
+    def test_strong_pseudoprime_to_bases_up_to_37_rejected(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin to every prime base below 41
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(318665857834031151167461)
+
+    def test_refuses_primes_past_the_proven_bound(self):
+        # the bound itself passes Miller-Rabin to bases 2..41 but is composite
+        for p in (MR_DETERMINISTIC_BOUND, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match=str(MR_DETERMINISTIC_BOUND)):
+                PrimeField(p)
 
     def test_reduction_is_ring_homomorphism(self):
         field = PrimeField(DEFAULT_PRIME)
