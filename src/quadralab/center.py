@@ -137,74 +137,26 @@ def chl_z2(a, b, c, d, field=QQi):
     return psi, z2
 
 
-def tower_components(f: FreeElement):
-    """Split a tower-coefficient element into base-coefficient components.
-
-    The root-adjunction tower is a free module over its base field, so an
-    element is in an ideal defined over the base iff each coordinate
-    component is.  Returns {flattened root-monomial index: FreeElement}.
-    """
-    out = {}
-    for word, coeff in f.terms.items():
-        for idx, base_val in _flatten(coeff):
-            if not base_val:
-                continue
-            comp = out.setdefault(idx, {})
-            comp[word] = comp.get(word, None)
-            comp[word] = base_val if comp[word] is None else comp[word] + base_val
-    return {idx: FreeElement(terms) for idx, terms in out.items()}
-
-
-def _flatten(value):
-    if isinstance(value, ExtensionElement):
-        for k, sub in enumerate(value.coeffs):
-            for idx, base_val in _flatten(sub):
-                yield (k,) + idx, base_val
-    else:
-        yield (), value
-
-
-def _is_base_constant(value) -> bool:
-    while isinstance(value, ExtensionElement):
-        if not value.is_constant():
-            return False
-        value = value.constant_part()
-    return True
-
-
-def _to_base(value):
-    while isinstance(value, ExtensionElement):
-        value = value.constant_part()
-    return value
-
-
 def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
     """Degree-3 membership check for Z2 over the base field.
 
     Z2 times (q2 q3)^2 has base-field coefficients (the fourth powers of
     the roots collapse), and centrality is invariant under that unit
     scaling, so the commutators are reduced as ordinary base-field
-    vectors.  A tower-component fallback handles any coefficient that
-    fails to collapse.
+    vectors.
     """
     psi, z2 = chl_z2(a, b, c, d, field)
     if quotient is None:
         space = chl_z_relations(a, b, c, d, field=field, verify=False)
         quotient = GradedQuotient(space)
-    unit = (psi.q2 * psi.q3) ** 2
-    scaled = z2.scale(unit)
-    if all(_is_base_constant(v) for v in scaled.terms.values()):
-        base = FreeElement({w: _to_base(v) for w, v in scaled.terms.items()})
-        return quotient.is_central(base)
-    zgens = generators(psi.field)
-    for g, zg in enumerate(zgens):
-        com = commutator(scaled, zg)
-        for component in tower_components(com).values():
-            if component.is_zero():
-                continue
-            if not quotient.contains(component):
-                return False, g
-    return True, None
+    base = {}
+    for w, v in z2.scale((psi.q2 * psi.q3) ** 2).terms.items():
+        while isinstance(v, ExtensionElement):
+            if not v.is_constant():
+                raise AssertionError("(q2 q3)^2 Z2 does not have base-field coefficients")
+            v = v.constant_part()
+        base[w] = v
+    return quotient.is_central(FreeElement(base))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import QuadralabError, ScalarParseError
+from .errors import InvalidInput, QuadralabError
 from .extension import ExtensionElement
 from .freealg import generators
 from .geometry import minor_factorization_report, point_table, verify_gamma
@@ -89,22 +89,11 @@ def _print_table(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def _scalar(text):
-    try:
-        return parse_scalar(text)
-    except ScalarParseError as exc:
-        raise SystemExit2(str(exc)) from None
-
-
 def _tuple_option(text, n, name):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
-        raise SystemExit2(f"--{name} needs {n} comma-separated scalars")
-    return tuple(_scalar(p.strip()) for p in parts)
-
-
-class SystemExit2(Exception):
-    """Invalid input: converted to exit code 2 in main()."""
+        raise InvalidInput(f"--{name} needs {n} comma-separated scalars")
+    return tuple(parse_scalar(p.strip()) for p in parts)
 
 
 def _base_payload(args, **params):
@@ -119,19 +108,19 @@ def _abc_params(args):
     if args.abc:
         a, b, c = _tuple_option(args.abc, 3, "abc")
         return a, b, c
-    raise SystemExit2("--abc a,b,c is required")
+    raise InvalidInput("--abc a,b,c is required")
 
 
 def _alpha_params(args):
     missing = [n for n in ("alpha", "beta", "gamma") if getattr(args, n) is None]
     if missing:
-        raise SystemExit2(f"missing --{missing[0]}")
-    return _scalar(args.alpha), _scalar(args.beta), _scalar(args.gamma)
+        raise InvalidInput(f"missing --{missing[0]}")
+    return parse_scalar(args.alpha), parse_scalar(args.beta), parse_scalar(args.gamma)
 
 
 def _abcd_params(args):
     if not args.abcd:
-        raise SystemExit2("--abcd a,b,c,d is required")
+        raise InvalidInput("--abcd a,b,c,d is required")
     return _tuple_option(args.abcd, 4, "abcd")
 
 
@@ -142,14 +131,16 @@ def _abcd_params(args):
 
 def cmd_hilbert(args):
     alpha, beta, gamma = _alpha_params(args)
+    if args.degree < 0:
+        raise InvalidInput(f"--degree must be non-negative, got {args.degree}")
     if args.mod_p is not None:
         try:
             PrimeField(args.mod_p)
         except ValueError as exc:
-            raise SystemExit2(f"--mod-p: {exc}") from None
+            raise InvalidInput(f"--mod-p: {exc}") from None
     quotient = GradedQuotient(sklyanin_relations(alpha, beta, gamma),
                               p=args.mod_p or DEFAULT_PRIME)
-    backend = "modular" if args.mod_p else ("auto" if args.degree > 4 else "exact")
+    backend = "exact" if args.mod_p is None else "modular"
     profile = quotient.hilbert_function(args.degree, backend=backend, force=args.force)
     payload = _base_payload(args, alpha=alpha, beta=beta, gamma=gamma)
     payload.update(profile.as_dict())
@@ -276,12 +267,11 @@ def cmd_chl(args):
             sym_ok = _symbolic_center_payload(payload)
         _emit(payload, args.format)
         return 0 if ok1 and ok2 and sym_ok else 1
-    raise SystemExit2(f"unknown chl action {args.chl_action!r}")
+    raise InvalidInput(f"unknown chl action {args.chl_action!r}")
 
 
 def _symbolic_center_payload(payload) -> bool:
     """Certify Z1 and Z2 over the rational function field in a,b,c,d."""
-    from .graded import GradedQuotient
     from .poly import FunctionField, PolyRing
 
     ring = PolyRing(("a", "b", "c", "d"))
@@ -383,9 +373,6 @@ def build_parser():
 
     def common(p, alpha=False, abc=False, abcd=False, degree=False):
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--force", action="store_true",
-                       help=f"override the degree cap (default {DEFAULT_DEGREE_CAP}, "
-                            "env QUADRALAB_DEGREE_CAP)")
         if alpha:
             p.add_argument("--alpha")
             p.add_argument("--beta")
@@ -396,6 +383,9 @@ def build_parser():
             p.add_argument("--abcd", help="parameters a,b,c,d as scalar literals")
         if degree:
             p.add_argument("--degree", type=int, default=4)
+            p.add_argument("--force", action="store_true",
+                           help=f"override the degree cap (default {DEFAULT_DEGREE_CAP}, "
+                                "env QUADRALAB_DEGREE_CAP)")
             p.add_argument("--mod-p", dest="mod_p", type=int, default=None,
                            help=f"modular backend prime (=1 mod 4), e.g. {DEFAULT_PRIME}")
 
@@ -452,10 +442,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScalarParseError as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadralabError as exc:

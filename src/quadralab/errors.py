@@ -5,7 +5,11 @@ class QuadralabError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ScalarParseError(QuadralabError, ValueError):
+class InvalidInput(QuadralabError, ValueError):
+    """Input from outside the program that cannot be used; CLI exit 2."""
+
+
+class ScalarParseError(InvalidInput):
     """Malformed scalar literal; carries the offending position."""
 
     def __init__(self, text, pos, reason):
@@ -54,7 +58,7 @@ class NoUniqueSolution(QuadralabError, ValueError):
     """A linear solve was inconsistent or underdetermined."""
 
 
-class DegreeCapExceeded(QuadralabError, ValueError):
+class DegreeCapExceeded(InvalidInput):
     """Requested degree exceeds the configured resource cap."""
 
     def __init__(self, degree, cap):
@@ -62,5 +66,5 @@ class DegreeCapExceeded(QuadralabError, ValueError):
         self.cap = cap
         super().__init__(
             f"degree {degree} exceeds the cap {cap}; pass force=True "
-            "(CLI: --force) or raise QUADRALAB_DEGREE_CAP to override"
+            "(CLI: hilbert --force) or raise QUADRALAB_DEGREE_CAP to override"
         )

@@ -1,6 +1,6 @@
 """Degree-truncated computation in the quotient A = TV/(R).
 
-Dimensions come from the quotient side.  The ideal satisfies
+Everything comes from the quotient side.  The ideal satisfies
 (R)_n = (R)_{n-1} (x) V + V^{(n-2)} (x) R, so
 
     A_n = (A_{n-1} (x) V) / image(A_{n-2} (x) R)
@@ -16,9 +16,16 @@ so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
 for the exact ones and are labeled as evidence, not proof.
 
-Membership, normal forms, centrality and certificates work on the ideal
-side, which zero tests over function fields need.  The degree-n slice of
-(R) is spanned by the rows w * r * w' with |w| + |w'| = n - 2, built as
+A word's class in A_n composes the mu maps along its letters; membership,
+normal forms and centrality read that class.  Certificates use
+(R)_n = (R)_{n-1} V + N_{n-2} R, N the span of the normal words: the
+degree-n rows account for f's image in A_{n-1} (x) V, and what is left is
+certified one degree down, letter by letter.
+
+Over function fields the recursion is too slow to build, so there the
+queries use the ideal slices, which are also the quotient side's test
+reference.  The degree-n slice of (R) is spanned by the rows w * r * w'
+with |w| + |w'| = n - 2, built as
 
     W_n = V (x) W_{n-1}  +  R (x) V^{(n-2)}
 
@@ -31,9 +38,10 @@ from __future__ import annotations
 
 import os
 
-from .errors import DegreeCapExceeded, PreconditionViolated
-from .freealg import NGENS, FreeElement, commutator, from_vector, generators
+from .errors import DegreeCapExceeded, InvalidInput, PreconditionViolated
+from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word
 from .linalg import SparseEchelon, make_echelon
+from .poly import FunctionField
 from .presentations import RelationSpace
 from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME
 
@@ -48,7 +56,7 @@ def degree_cap() -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValueError(f"{ENV_DEGREE_CAP} must be an integer, got {value!r}") from None
+        raise InvalidInput(f"{ENV_DEGREE_CAP} must be an integer, got {value!r}") from None
 
 
 def _check_cap(n: int, force: bool):
@@ -99,8 +107,16 @@ class ExactSlices:
     def rank(self, n: int, force=False) -> int:
         return self.slice(n, force).rank
 
-    def reduce(self, vec: dict, n: int, force=False) -> dict:
-        return self.slice(n, force).reduce(vec)
+
+def _add_scaled(out: dict, vec: dict, c):
+    """out += c * vec, dropping entries that cancel."""
+    for k, v in vec.items():
+        s = out.get(k)
+        s = c * v if s is None else s + c * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
 
 
 class QuotientTower:
@@ -117,28 +133,33 @@ class QuotientTower:
         one = field.one()
         self.words = [[0], list(range(NGENS))]
         self.mu = [None, [[{j: one}] for j in range(NGENS)]]
+        self._tracked = {}        # degree -> the degree's rows, certificate-tracked
 
     def dimension(self, n: int) -> int:
         while len(self.words) <= n:
             self._extend()
         return len(self.words[n])
 
-    def _extend(self):
-        n = len(self.words)
+    def _image_rows(self, n: int):
+        """((i, relation index), row): the image of e_i * r in A_{n-1} (x) V.
+
+        e_i runs over the basis of A_{n-2}; column = basis index * 4 + letter.
+        """
         below = self.mu[n - 1]
-        prev = self.words[n - 1]
-        # image of A_{n-2} (x) R in A_{n-1} (x) V; column = basis index * 4 + letter
-        ech = SparseEchelon(self.field)
         for i in range(len(self.words[n - 2])):
-            for rel in self.rows:
+            for r, rel in enumerate(self.rows):
                 row = {}
                 for c, v in rel.items():
                     a, b = divmod(c, NGENS)
-                    for k, w in below[a][i].items():
-                        col = k * NGENS + b
-                        s = row.get(col)
-                        row[col] = v * w if s is None else s + v * w
-                ech.insert({c: v for c, v in row.items() if v})
+                    _add_scaled(row, {k * NGENS + b: w for k, w in below[a][i].items()}, v)
+                yield (i, r), row
+
+    def _extend(self):
+        n = len(self.words)
+        prev = self.words[n - 1]
+        ech = SparseEchelon(self.field)
+        for _, row in self._image_rows(n):
+            ech.insert(row)
         free = [c for c in range(NGENS * len(prev)) if c not in ech.pivot_of]
         index = {c: k for k, c in enumerate(free)}
         self.words.append([prev[c // NGENS] * NGENS + c % NGENS for c in free])
@@ -155,6 +176,67 @@ class QuotientTower:
                     mu[j].append({index[c]: v for c, v in residual.items()})
         self.mu.append(mu)
 
+    def _project(self, vec: dict, n: int) -> dict:
+        """A vector of A_{n-1} (x) V mapped to A_n."""
+        out = {}
+        for col, v in vec.items():
+            i, j = divmod(col, NGENS)
+            _add_scaled(out, self.mu[n][j][i], v)
+        return out
+
+    def _image(self, terms: dict, n: int) -> dict:
+        """The image in A_{n-1} (x) V of the degree-n element {word: coeff}."""
+        classes = {(): {0: self.field.one()}}
+
+        def class_of(word):
+            # prefixes are shared between the words of one element
+            if word not in classes:
+                below = class_of(word[:-1])
+                classes[word] = self._project(
+                    {k * NGENS + word[-1]: v for k, v in below.items()}, len(word))
+            return classes[word]
+
+        out = {}
+        for word, c in terms.items():
+            _add_scaled(out, {k * NGENS + word[-1]: v
+                              for k, v in class_of(word[:-1]).items()}, c)
+        return out
+
+    def coordinates(self, f: FreeElement, n: int) -> dict:
+        """The class of the degree-n element f in A_n, over the basis words[n]."""
+        self.dimension(n)
+        return self._project(self._image(f.terms, n), n)
+
+    def certificate(self, f: FreeElement, n: int):
+        """f as a list of (left word, relation index, right word, coeff), or None.
+
+        None means f is not in (R)_n.  Each degree's rows are eliminated
+        once more with tracking, on the first certificate that needs them.
+        """
+        self.dimension(n)
+        out = []
+        pending = [(dict(f.terms), n, ())]
+        while pending:
+            terms, m, right = pending.pop()
+            if m not in self._tracked:
+                self._tracked[m] = SparseEchelon(self.field, track=True)
+                for tag, row in self._image_rows(m):
+                    self._tracked[m].insert(row, tag=tag)
+            residual, combo = self._tracked[m].reduce_with_combo(self._image(terms, m))
+            if residual:
+                return None  # only f itself can fail: the later pieces lie in (R)_m
+            for (i, r), lam in combo.items():
+                left = index_word(self.words[m - 2][i], m - 2)
+                out.append((left, r, right, lam))
+                _add_scaled(terms, {left + divmod(c, NGENS): v
+                                    for c, v in self.rows[r].items()}, -lam)
+            # what is left has image zero, so each letter's piece lies in (R)_{m-1}
+            pieces = {}
+            for word, v in terms.items():
+                pieces.setdefault(word[-1], {})[word[:-1]] = v
+            pending += [(piece, m - 1, (j,) + right) for j, piece in pieces.items()]
+        return out
+
 
 class GradedQuotient:
     """Hilbert data, ideal membership, and normal forms for TV/(R)."""
@@ -164,6 +246,7 @@ class GradedQuotient:
         self.exact = ExactSlices(space)
         self.p = p
         self._towers = {}
+        self._ideal_side = isinstance(space.field, FunctionField)
 
     def tower(self, backend="exact") -> QuotientTower:
         """The quotient-side recursion over the field the backend names."""
@@ -194,25 +277,13 @@ class GradedQuotient:
         _check_cap(n, force)
         return self.tower(backend).dimension(n)
 
-    def hilbert_function(self, top_degree: int, backend="auto", force=False):
-        """HilbertProfile up to the requested degree.
-
-        backend "exact" or "modular" applies to every degree; "auto" uses
-        exact arithmetic through degree 4 and the modular backend above.
-        """
+    def hilbert_function(self, top_degree: int, backend="exact", force=False):
+        """HilbertProfile up to the requested degree, every degree on one backend."""
         _check_cap(top_degree, force)
-        dims, tags = [], []
-        for n in range(top_degree + 1):
-            tag = backend
-            if backend == "auto":
-                tag = "exact" if n <= 4 else "modular"
-            dims.append(self.dimension(n, tag, force))
-            tags.append(tag if n >= 2 else "exact")
-        return HilbertProfile(dims, tags, self.space.label, self.p,
-                              self.modular_sqrt_minus_one() if "modular" in tags else None)
-
-    def modular_sqrt_minus_one(self):
-        return self.tower("modular").field.sqrt_minus_one
+        dims = [self.dimension(n, backend, force) for n in range(top_degree + 1)]
+        tags = [backend if n >= 2 else "exact" for n in range(top_degree + 1)]
+        root = self.tower(backend).field.sqrt_minus_one if "modular" in tags else None
+        return HilbertProfile(dims, tags, self.space.label, self.p, root)
 
     # -- membership and normal forms (always exact) -----------------------
 
@@ -222,17 +293,27 @@ class GradedQuotient:
         n = f.degree()
         if n < 2:
             return False
-        return not self.exact.reduce(f.coefficient_vector(n), n, force)
+        _check_cap(n, force)
+        if self._ideal_side:
+            return not self.exact.slice(n, force).reduce(f.coefficient_vector(n))
+        return not self.tower().coordinates(f, n)
 
     def normal_form(self, f: FreeElement, force=False) -> FreeElement:
-        """The canonical representative of f + (R) supported off pivot words."""
+        """The canonical representative of f + (R) supported on normal words."""
         if f.is_zero():
             return f
         n = f.degree()
         if n < 2:
             return f
-        residual = self.exact.reduce(f.coefficient_vector(n), n, force)
-        return from_vector(residual, n)
+        _check_cap(n, force)
+        if self._ideal_side:
+            # the cross-multiplied echelon returns scale * residual
+            residual, scale = self.exact.slice(n, force).reduce_scaled(f.coefficient_vector(n))
+            coerce = self.space.field.coerce
+            return from_vector({c: coerce(v) / scale for c, v in residual.items()}, n)
+        tower = self.tower()
+        return from_vector({tower.words[n][k]: v
+                            for k, v in tower.coordinates(f, n).items()}, n)
 
     def is_central(self, z: FreeElement, force=False):
         """(True, None) or (False, index of a generator that fails).
@@ -242,17 +323,17 @@ class GradedQuotient:
         """
         if z.is_zero():
             return True, None
-        gens = generators(self.space.field)
-        for g, xg in enumerate(gens):
+        for g, xg in enumerate(generators(self.space.field)):
             if not self.contains(commutator(z, xg), force):
                 return False, g
         return True, None
 
     def membership_certificate(self, f: FreeElement, force=False):
-        """Express f as sum lambda * w * rel * w', or None.
+        """Express f as sum coeff * left * relation * right, or None.
 
         Returns a list of (left word, relation index, right word, coeff).
-        Builds a tracked echelon from scratch, so keep to small degrees.
+        Function-field coefficients are refused: the quotient side, which
+        builds certificates, cannot be built over them in reasonable time.
         """
         if f.is_zero():
             return []
@@ -260,24 +341,10 @@ class GradedQuotient:
         if n < 2:
             return None
         _check_cap(n, force)
-        ech = SparseEchelon(self.space.field, track=True)
-        from .freealg import index_word
-        for a in range(n - 1):
-            left_count = NGENS ** a
-            right_count = NGENS ** (n - 2 - a)
-            for rel_idx, rel in enumerate(self.space.rows):
-                for li in range(left_count):
-                    for ri in range(right_count):
-                        row = {
-                            (li * 16 + c) * right_count + ri: v
-                            for c, v in rel.items()
-                        }
-                        tag = (index_word(li, a), rel_idx, index_word(ri, n - 2 - a))
-                        ech.insert(row, tag=tag)
-        residual, combo = ech.reduce_with_combo(f.coefficient_vector(n))
-        if residual:
-            return None
-        return [(lw, rel, rw, coeff) for (lw, rel, rw), coeff in combo.items()]
+        if self._ideal_side:
+            raise PreconditionViolated("membership certificates need coefficients "
+                                       "outside a function field")
+        return self.tower().certificate(f, n)
 
 
 class HilbertProfile:
@@ -293,15 +360,10 @@ class HilbertProfile:
     @property
     def backend(self) -> str:
         # degrees 0 and 1 are combinatorial; only degree >= 2 involves ranks
-        kinds = set(self.backends[2:]) or {"exact"}
-        if kinds == {"exact"}:
-            return "exact"
-        if "exact" in kinds:
-            return f"exact<=4, modular p={self.p} above"
-        return f"modular p={self.p}"
+        return "exact" if self.all_exact() else f"modular p={self.p}"
 
     def all_exact(self) -> bool:
-        return set(self.backends[2:] or ["exact"]) == {"exact"}
+        return "modular" not in self.backends
 
     def as_dict(self):
         out = {

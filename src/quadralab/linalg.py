@@ -158,15 +158,11 @@ class PolyRowEchelon:
     #: pool members larger than this are useless as strip candidates
     POOL_TERM_LIMIT = 12
 
-    def __init__(self, field, track=False):
-        if track:
-            raise ValueError("certificate tracking is not supported in cross mode")
+    def __init__(self, field):
         self.field = field            # FunctionField
         self.ring = field.ring
-        self.track = False
         self.rows = []                # dict[int, MultiPoly]
         self.pivot_of = {}
-        self.n_inserted = 0
         self.factor_pool = []         # small polys that keep showing up as content
         self._pool_keys = set()
 
@@ -356,7 +352,6 @@ class PolyRowEchelon:
         for v in work.values():
             self._pool_add(v)
         work, _, _ = self._reduce_poly(work)
-        self.n_inserted += 1
         if not work:
             return None
         work = self._strip_pool(work, [])
@@ -374,11 +369,10 @@ class PolyRowEchelon:
             self._pool_add(v)
         self.rows.append(dict(vec))
         self.pivot_of[pivot] = len(self.rows) - 1
-        self.n_inserted += 1
         return pivot
 
 
-def make_echelon(field, track=False):
+def make_echelon(field):
     """Echelon implementation suited to the scalar field.
 
     Function fields get the cross-multiplied polynomial-row variant; every
@@ -386,13 +380,13 @@ def make_echelon(field, track=False):
     """
     from .poly import FunctionField
 
-    if isinstance(field, FunctionField) and not track:
+    if isinstance(field, FunctionField):
         return PolyRowEchelon(field)
-    return SparseEchelon(field, track=track)
+    return SparseEchelon(field)
 
 
-def echelon_from_rows(field, rows, track=False):
-    ech = make_echelon(field, track=track)
+def echelon_from_rows(field, rows):
+    ech = make_echelon(field)
     for row in rows:
         ech.insert(row)
     return ech

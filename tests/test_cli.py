@@ -59,11 +59,32 @@ class TestHilbert:
         assert first == second
 
     def test_cap_respected(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
             "--degree", "9")
-        assert code == 1
-        assert "cap" in err
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "cap" in err
+
+    def test_degree_past_default_cap_is_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
+            "--degree", "8")
+        assert code == 2
+        assert out == "" and err.startswith("error: degree 8 exceeds the cap 7")
+
+    def test_malformed_cap_variable_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUADRALAB_DEGREE_CAP", "x")
+        code, out, err = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error: QUADRALAB_DEGREE_CAP")
+
+    def test_negative_degree_is_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
+            "--degree=-3")
+        assert code == 2
+        assert out == "" and err.startswith("error: --degree")
 
 
 class TestChl:

@@ -13,7 +13,7 @@ import pytest
 
 from quadralab.errors import ScalarParseError
 from quadralab.extension import adjoin_fourth_root
-from quadralab.freealg import FreeElement
+from quadralab.freealg import FreeElement, from_vector
 from quadralab.geometry import point_table
 from quadralab.graded import GradedQuotient
 from quadralab.linalg import SparseEchelon
@@ -25,8 +25,9 @@ from quadralab.symmetry import ChlPsi
 class TestBackendCrossValidation:
     def test_quotient_side_equals_ideal_side(self):
         # the recursion on A_{n-1} (x) V and the slices of (R) in V^n share
-        # only the echelon kernel: equal dimensions and equal normal words
-        # through degree 5 check the recursion's construction
+        # only the echelon kernel: equal dimensions, equal normal words and
+        # equal normal forms through degree 5 check the recursion
+        rng = random.Random(29)
         for space in (sklyanin_relations(2, 3, 5),
                       sklyanin_relations(2, -3, Fraction(-1, 5)),
                       chl_relations(1, 2, -4, 2)):
@@ -37,6 +38,14 @@ class TestBackendCrossValidation:
                 assert quotient.dimension(n) == 4 ** n - ideal.rank
                 assert tower.words[n] == [c for c in range(4 ** n)
                                           if c not in ideal.pivot_of]
+                for _ in range(20):
+                    f = FreeElement()
+                    for _ in range(rng.randint(1, 6)):
+                        word = tuple(rng.randrange(4) for _ in range(n))
+                        coeff = gaussian(rng.randint(-5, 5), rng.randint(-2, 2))
+                        f = f + FreeElement.from_word(word, coeff)
+                    residual = ideal.reduce(f.coefficient_vector(n))
+                    assert quotient.normal_form(f) == from_vector(residual, n)
 
     def test_two_primes_agree(self):
         q1 = GradedQuotient(chl_relations(1, 2, -4, 2), p=65537)

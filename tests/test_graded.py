@@ -1,10 +1,11 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from quadralab.errors import DegreeCapExceeded
-from quadralab.freealg import generators
+from quadralab.freealg import FreeElement, from_vector, generators
 from quadralab.graded import GradedQuotient, degree_cap, verify_certificate
 from quadralab.presentations import chl_relations, sklyanin_relations
 from quadralab.scalars import gaussian
@@ -67,11 +68,6 @@ class TestHilbert:
         quotient = GradedQuotient(chl_relations(1, 2, -4, 2))
         assert quotient.hilbert_function(2, backend="exact").dims == [1, 4, 10]
 
-    def test_auto_backend_tags(self, generic):
-        prof = generic.hilbert_function(5, backend="auto")
-        assert prof.backends[4] == "exact" and prof.backends[5] == "modular"
-        assert "modular" in prof.backend
-
     @pytest.mark.parametrize("params", [(0, 0, 0), (0, 3, -3)])
     def test_degenerate_parameter_sum_zero_points_grow_like_polynomials(self, params):
         # both have vanishing parameter sum, so polynomial-type growth
@@ -100,7 +96,7 @@ class TestBackendGuards:
             quotient.dimension(3, backend="modular")
 
     def test_degree_zero_and_one_profiles(self, generic):
-        prof = generic.hilbert_function(1, backend="auto")
+        prof = generic.hilbert_function(1, backend="exact")
         assert prof.dims == [1, 4]
         assert prof.backend == "exact"
 
@@ -178,3 +174,45 @@ class TestCertificates:
     def test_non_member(self, generic):
         x = generators()
         assert generic.membership_certificate(x[0] * x[0]) is None
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("point", ["generic", "sklyanin"])
+    def test_seeded_members_by_degree(self, request, point, n):
+        quotient = request.getfixturevalue(point)
+        rng = random.Random(n)
+        one = gaussian(1)
+        h = FreeElement()
+        for _ in range(3):
+            left = tuple(rng.randrange(4) for _ in range(rng.randrange(n - 1)))
+            right = tuple(rng.randrange(4) for _ in range(n - 2 - len(left)))
+            rel = quotient.space.elements[rng.randrange(6)]
+            piece = FreeElement.from_word(left, one) * rel * FreeElement.from_word(right, one)
+            h = h + piece.scale(gaussian(rng.randint(1, 5), rng.randint(-2, 2)))
+        cert = quotient.membership_certificate(h)
+        assert cert is not None and verify_certificate(quotient.space, cert, h)
+        # a pure power is never in the ideal when alpha*beta*gamma != 0
+        assert quotient.membership_certificate(h + FreeElement.from_word((0,) * n, one)) is None
+
+    def test_queries_leave_the_ideal_slices_unbuilt(self):
+        quotient = GradedQuotient(sklyanin_relations(2, 3, 5))
+        x = generators()
+        f = x[1] * x[0] * x[2]
+        quotient.contains(f)
+        quotient.normal_form(f)
+        quotient.is_central(x[0] * x[0])
+        quotient.membership_certificate(f - quotient.normal_form(f))
+        assert quotient.exact._cache == {}
+
+
+class TestFunctionField:
+    def test_normal_form_differs_from_its_argument_by_a_member(self):
+        from quadralab.poly import FunctionField, PolyRing
+        from quadralab.presentations import chl_z_relations
+
+        F = FunctionField(PolyRing(("a", "b", "c", "d")))
+        a, b, c, d = F.gens()
+        quotient = GradedQuotient(chl_z_relations(a, b, c, d, field=F, verify=False))
+        one = F.one()
+        for col in quotient.exact.slice(2).pivot_of:
+            f = from_vector({col: one}, 2)
+            assert quotient.contains(f - quotient.normal_form(f))
