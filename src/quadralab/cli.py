@@ -249,13 +249,14 @@ def cmd_chl(args):
         return 0
     if args.chl_action == "center":
         x_form, z_form = chl_z1(a, b, c, d)
-        ok1, fail1 = chl_z1_central(a, b, c, d)
+        quotient = GradedQuotient(chl_z_relations(a, b, c, d, verify=False))
+        ok1, fail1 = chl_z1_central(a, b, c, d, quotient=quotient)
         payload["Z1_x_basis"] = x_form.render(("x1", "x2", "x3", "x4"))
         payload["Z1_z_basis"] = z_form.render(("z0", "z1", "z2", "z3"))
         payload["Z1_central"] = ok1
         try:
             _, z2 = chl_z2(a, b, c, d)
-            ok2, fail2 = chl_z2_central(a, b, c, d)
+            ok2, fail2 = chl_z2_central(a, b, c, d, quotient=quotient)
             payload["Z2_z_basis"] = z2.render(("z0", "z1", "z2", "z3"))
             payload["Z2_central"] = ok2
         except QuadralabError as exc:

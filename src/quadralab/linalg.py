@@ -29,7 +29,6 @@ class SparseEchelon:
         self.rows = []        # list[dict[int, scalar]], leading col normalized to 1
         self.pivot_of = {}    # column -> row index
         self.combos = []      # parallel to rows when track=True
-        self.n_inserted = 0
 
     @property
     def rank(self):
@@ -82,10 +81,6 @@ class SparseEchelon:
         """Residual of vec modulo the row space (vec is not modified)."""
         return self._reduce(dict(vec))
 
-    def reduce_scaled(self, vec):
-        """(residual, scale); scale is 1 here since rows are pivot-normalized."""
-        return self.reduce(vec), self.field.one()
-
     def reduce_with_combo(self, vec):
         """(residual, combo) with vec = residual + sum(combo[k] * source_k)."""
         if not self.track:
@@ -98,38 +93,23 @@ class SparseEchelon:
         return not self.reduce(vec)
 
     def insert(self, vec, tag=None):
-        """Reduce and store vec if independent; returns pivot column or None."""
+        """Reduce and store vec if independent; returns pivot column or None.
+
+        With tracking, ``tag`` names vec in the combos.
+        """
         combo = {} if self.track else None
         work = self._reduce(dict(vec), combo)
-        src = self.n_inserted if tag is None else tag
-        self.n_inserted += 1
         if not work:
             return None
         col = min(work)
         inv = _inv(work[col])
         row = {c: v * inv for c, v in work.items()}
         if self.track:
-            combo[src] = self.field.one()
+            combo[tag] = self.field.one()
             self.combos.append({k: v * inv for k, v in combo.items()})
         self.rows.append(row)
         self.pivot_of[col] = len(self.rows) - 1
         return col
-
-    def insert_independent(self, vec, pivot):
-        """Store a row known to be new, with its pivot, skipping reduction.
-
-        The caller guarantees pivot = min(vec), coefficient 1, and that the
-        pivot column is unused.  Used for block rows whose independence is
-        structural.
-        """
-        if self.track:
-            raise ValueError("insert_independent does not support tracking")
-        if pivot in self.pivot_of:
-            raise ValueError(f"pivot column {pivot} already taken")
-        self.rows.append(dict(vec))
-        self.pivot_of[pivot] = len(self.rows) - 1
-        self.n_inserted += 1
-        return pivot
 
 
 def _inv(x):
@@ -147,12 +127,12 @@ class PolyRowEchelon:
 
         vec <- pivot_coeff * vec - vec_coeff * pivot_row
 
-    which never divides.  Each residual therefore represents a known
-    polynomial multiple of the reduced vector: ``reduce_scaled`` returns
-    (residual, scale) with scale * vec == residual modulo the row space.
-    Zero-ness of residuals is unaffected, which is all rank, membership,
-    and span comparisons need.  Rows are stripped of their monomial and
-    rational content after every combination to keep growth down.
+    which never divides.  The reduced vector is therefore a known
+    multiple, scale * residual, of the true one; ``contains`` only needs
+    to know whether it is zero, and ``reduce`` divides the scale out of
+    a nonzero residual, so both echelons return the same residuals.  Rows
+    are stripped of their monomial and rational content after every
+    combination to keep growth down.
     """
 
     #: pool members larger than this are useless as strip candidates
@@ -252,10 +232,8 @@ class PolyRowEchelon:
             den = v.den
             if den.degree() <= 0:
                 continue
-            if den_total.divide_exact(den) is not None:
-                continue
-            q = den.divide_exact(den_total)
-            den_total = den if q is not None else den_total * den
+            if den_total.divide_exact(den) is None:
+                den_total = den_total * den
         out = {}
         for c, v in fractions.items():
             # every entry's denominator divides den_total by construction
@@ -320,34 +298,31 @@ class PolyRowEchelon:
         return vec, multiplied, stripped
 
     def reduce(self, vec):
-        """Residual only; zero iff vec lies in the row space."""
-        work, _ = self._clear_denominators(vec)
-        residual, _, _ = self._reduce_poly(work)
-        return residual
+        """Residual of vec modulo the row space, on the non-pivot columns.
 
-    def reduce_scaled(self, vec):
-        """(residual, scale): scale * vec == residual modulo the row space.
-
-        The scale is a rational function: the common denominator times the
-        cross-multiplication factors, divided by everything stripped as
-        content along the way.
+        The polynomial residual is scale * vec modulo the row space, where
+        scale is the common denominator times the cross-multiplication
+        factors, divided by everything stripped as content along the way.
         """
         from .poly import RationalFunction
 
         work, den_total = self._clear_denominators(vec)
         residual, multiplied, stripped = self._reduce_poly(work)
-        num = den_total
-        for f in multiplied:
-            num = num * f
-        den = self.ring.one()
+        if not residual:
+            return residual
+        num = self.ring.one()
         for f in stripped:
+            num = num * f
+        den = den_total
+        for f in multiplied:
             den = den * f
-        return residual, RationalFunction(num, den)
+        return {c: RationalFunction(num * v, den) for c, v in residual.items()}
 
     def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+        work, _ = self._clear_denominators(vec)
+        return not self._reduce_poly(work)[0]
 
-    def insert(self, vec, tag=None):
+    def insert(self, vec):
         work, _ = self._clear_denominators(vec)
         for v in work.values():
             self._pool_add(v)
@@ -362,15 +337,6 @@ class PolyRowEchelon:
         self.pivot_of[col] = len(self.rows) - 1
         return col
 
-    def insert_independent(self, vec, pivot):
-        if pivot in self.pivot_of:
-            raise ValueError(f"pivot column {pivot} already taken")
-        for v in vec.values():
-            self._pool_add(v)
-        self.rows.append(dict(vec))
-        self.pivot_of[pivot] = len(self.rows) - 1
-        return pivot
-
 
 def make_echelon(field):
     """Echelon implementation suited to the scalar field.
@@ -383,13 +349,6 @@ def make_echelon(field):
     if isinstance(field, FunctionField):
         return PolyRowEchelon(field)
     return SparseEchelon(field)
-
-
-def echelon_from_rows(field, rows):
-    ech = make_echelon(field)
-    for row in rows:
-        ech.insert(row)
-    return ech
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ lexicographic in the ring's declared variable order, which makes string
 output, leading terms, and "equal up to scalar" comparisons stable.
 
 ``RationalFunction`` keeps num/den pairs.  Reduction is best effort
-(monomial content, rational content, exact-division probes, and a full
-Euclidean gcd in the univariate case); equality is always decided by
+(monomial content, a constant denominator, and exact-division probes in
+both directions; no gcd); equality is always decided by
 cross-multiplication, which needs no gcd at all.
 """
 
@@ -211,14 +211,6 @@ class MultiPoly:
     def constant_term(self) -> GaussianRational:
         return self.terms.get((0,) * self.ring.nvars, QI_ZERO)
 
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for k, p in enumerate(e):
-                if p:
-                    used.add(k)
-        return used
-
     # -- substitution -------------------------------------------------------
 
     def substitute(self, mapping: dict) -> "MultiPoly":
@@ -355,38 +347,6 @@ def monomial_content(p: MultiPoly):
 
 def shift_down(p: MultiPoly, mono) -> MultiPoly:
     return MultiPoly(p.ring, {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()})
-
-
-def _univar_profile(p: MultiPoly):
-    used = p.variables_used()
-    if len(used) > 1:
-        return None
-    return used.pop() if used else -1
-
-
-def univariate_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd of two univariate polynomials in the same variable.
-
-    Constants count as univariate in any variable.
-    """
-    kf, kg = _univar_profile(f), _univar_profile(g)
-    if kf is None or kg is None or (kf >= 0 and kg >= 0 and kf != kg):
-        raise ValueError("inputs are not univariate in a common variable")
-    a, b = f, g
-    while b:
-        _, lc = b.leading()
-        b_monic = b.scale(lc.inverse())
-        r = a
-        dexp, _ = b_monic.leading()
-        while r and _grlex_key(r.leading()[0]) >= _grlex_key(dexp):
-            rexp, rc = r.leading()
-            qexp = tuple(x - y for x, y in zip(rexp, dexp))
-            r = r - MultiPoly(r.ring, {qexp: rc}) * b_monic
-        a, b = b_monic, r
-    if not a:
-        return a
-    _, lc = a.leading()
-    return a.scale(lc.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +506,6 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly):
     if q is not None:
         _, lc = q.leading()
         return ring.constant(lc.inverse()), q.scale(lc.inverse())
-    # full gcd in the univariate case
-    kn, kd = _univar_profile(num), _univar_profile(den)
-    if kn is not None and kd is not None and (kn < 0 or kd < 0 or kn == kd):
-        g = univariate_gcd(num, den)
-        if g.degree() > 0:
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
     # normalize: monic denominator
     _, lc = den.leading()
     if lc != QI_ONE:

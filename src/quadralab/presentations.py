@@ -31,7 +31,7 @@ from .freealg import (
     commutator,
     generators,
 )
-from .linalg import echelon_from_rows, make_echelon
+from .linalg import make_echelon
 from .scalars import QI_I, QQi
 
 #: substitution x1,x2,x3,x4 -> z-basis: x1=z1+z2, x2=z0+z3, x3=z1-z2, x4=z0-z3
@@ -426,12 +426,8 @@ def scaled_basis_matches_sklyanin_form(a, b, c, d, field=QQi) -> bool:
         tower.coerce(corr.gamma),
         field=tower,
     )
-    ech = echelon_from_rows(tower, [e.coefficient_vector(2) for e in rewritten])
-    if ech.rank != 6:
-        return False
-    return all(ech.contains(r) for r in target.rows) and all(
-        target.echelon.contains(e.coefficient_vector(2)) for e in rewritten
-    )
+    # the substitution is invertible, so the rewritten rows keep rank 6
+    return RelationSpace(tower, rewritten).spans_same(target)
 
 
 #: the twelve parameter points on the two special lines where the
@@ -513,13 +509,9 @@ def classify_chl(a, b, c, d, field=QQi) -> Classification:
 
 
 def _solve_scalar(space: RelationSpace, base: FreeElement, weighted: FreeElement):
-    """The unique t with base - t*weighted in the row space.
-
-    Residuals from the cross-multiplied echelon carry a scale factor, so
-    the ratio is corrected by scale_w / scale_base.
-    """
-    r_base, s_base = space.echelon.reduce_scaled(base.coefficient_vector(2))
-    r_w, s_w = space.echelon.reduce_scaled(weighted.coefficient_vector(2))
+    """The unique t with base - t*weighted in the row space."""
+    r_base = space.echelon.reduce(base.coefficient_vector(2))
+    r_w = space.echelon.reduce(weighted.coefficient_vector(2))
     if not r_w:
         raise NoUniqueSolution(
             "underdetermined" if not r_base else "inconsistent: no scalar works"
@@ -536,9 +528,7 @@ def _solve_scalar(space: RelationSpace, base: FreeElement, weighted: FreeElement
             raise NoUniqueSolution("inconsistent: residuals are not proportional")
         if lhs is not None and lhs * wval != rhs * num:
             raise NoUniqueSolution("inconsistent: residuals are not proportional")
-    # residual entries from the cross-multiplied echelon are polynomials;
-    # lift into the field before dividing
-    return (space.field.coerce(num) / space.field.coerce(wval)) * (s_w / s_base)
+    return num / wval
 
 
 def angle_invariant(space: RelationSpace, perm) -> tuple:
@@ -629,6 +619,8 @@ def commutative_quotient_deg2(space: RelationSpace):
 
     Returns (dimension, pivot monomial pairs, echelon object).
     """
-    ech = echelon_from_rows(space.field, [symmetrize_row(r) for r in space.rows])
+    ech = make_echelon(space.field)
+    for row in space.rows:
+        ech.insert(symmetrize_row(row))
     pivots = [SYM_BASIS[c] for c in ech.pivots()]
     return ech.rank, pivots, ech

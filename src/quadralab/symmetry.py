@@ -22,7 +22,6 @@ from .extension import adjoin_fourth_root
 from .freealg import FreeElement, apply_linear, generators
 from .geometry import ProjectivePoint
 from .linalg import (
-    make_echelon,
     mat_inverse,
     mat_mul,
     mat_transpose,
@@ -185,16 +184,8 @@ def contragredient_table(a, b, c, field=QQi):
 
 def preserves_relations(phi: LinearAutomorphism, space: RelationSpace) -> bool:
     """True iff the induced degree-2 map fixes the relation row space."""
-    transformed = [phi(e) for e in space.elements]
-    rows = [t.coefficient_vector(2) for t in transformed]
-    ech = make_echelon(space.field)
-    for row in rows:
-        ech.insert(row)
-    if ech.rank != 6:
-        return False
-    return all(space.echelon.contains(r) for r in rows) and all(
-        ech.contains(r) for r in space.rows
-    )
+    # phi is invertible, so the image rows keep rank 6
+    return space.transformed(phi.matrix).spans_same(space)
 
 
 def permutation_type_map(lambdas, cyclic, field=QQi) -> LinearAutomorphism:

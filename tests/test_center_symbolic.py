@@ -1,7 +1,8 @@
 """Function-field centrality: the slowest exact computations in the suite.
 
 Z1 and Z2 are certified central for symbolic (a,b,c,d) by degree-3 ideal
-membership over Q(i)(a,b,c,d); the ideal slice is built once and shared.
+membership over Q(i)(a,b,c,d); the ideal slice is built once and shared,
+and the Hilbert function through degree 3 is read from the same slices.
 """
 
 import pytest
@@ -32,6 +33,11 @@ def test_z2_central_symbolically(symbolic):
     F, (a, b, c, d), quotient = symbolic
     ok, failing = chl_z2_central(a, b, c, d, field=F, quotient=quotient)
     assert ok, f"generator z{failing} fails"
+
+
+def test_hilbert_function_to_degree_three(symbolic):
+    _, _, quotient = symbolic
+    assert quotient.hilbert_function(3).dims == [1, 4, 10, 20]
 
 
 def test_relabelings_fix_z1_and_the_relations(symbolic):

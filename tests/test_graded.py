@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadralab.errors import DegreeCapExceeded
+from quadralab.errors import DegreeCapExceeded, PreconditionViolated
 from quadralab.freealg import FreeElement, from_vector, generators
 from quadralab.graded import GradedQuotient, degree_cap, verify_certificate
 from quadralab.presentations import chl_relations, sklyanin_relations
@@ -205,14 +205,34 @@ class TestCertificates:
 
 
 class TestFunctionField:
-    def test_normal_form_differs_from_its_argument_by_a_member(self):
+    @pytest.fixture(scope="class")
+    def symbolic(self):
         from quadralab.poly import FunctionField, PolyRing
         from quadralab.presentations import chl_z_relations
 
         F = FunctionField(PolyRing(("a", "b", "c", "d")))
         a, b, c, d = F.gens()
-        quotient = GradedQuotient(chl_z_relations(a, b, c, d, field=F, verify=False))
-        one = F.one()
-        for col in quotient.exact.slice(2).pivot_of:
+        return GradedQuotient(chl_z_relations(a, b, c, d, field=F, verify=False))
+
+    def test_normal_form_differs_from_its_argument_by_a_member(self, symbolic):
+        one = symbolic.space.field.one()
+        for col in symbolic.exact.slice(2).pivot_of:
             f = from_vector({col: one}, 2)
-            assert quotient.contains(f - quotient.normal_form(f))
+            assert symbolic.contains(f - symbolic.normal_form(f))
+
+    def test_reduce_returns_the_true_residual(self, symbolic):
+        field = symbolic.space.field
+        ech = symbolic.exact.slice(2)
+        for col in range(16):
+            residual = ech.reduce({col: field.one()})
+            assert not set(residual) & set(ech.pivot_of)
+            difference = {c: -v for c, v in residual.items()}
+            difference[col] = difference.get(col, field.zero()) + field.one()
+            assert ech.contains({c: v for c, v in difference.items() if v})
+            assert ech.reduce(residual) == residual
+
+    def test_tower_refuses(self, symbolic):
+        with pytest.raises(PreconditionViolated):
+            symbolic.tower()
+        with pytest.raises(PreconditionViolated):
+            symbolic.hilbert_function(2, backend="modular")

@@ -11,7 +11,6 @@ from quadralab.poly import (
     det4,
     ideal_slice_membership,
     proportionality_scalar,
-    univariate_gcd,
     verify_slice_certificate,
 )
 from quadralab.scalars import gaussian
@@ -68,21 +67,6 @@ class TestMultiPoly:
         assert not p.is_homogeneous()
         assert p.homogeneous_part(2) == a * a
         assert p.homogeneous_part(1) == b
-
-
-class TestUnivariateGcd:
-    def test_common_factor(self):
-        r = PolyRing(("t",))
-        (t,) = r.gens()
-        f = (t + 1) * (t - 2)
-        g = (t + 1) * (t + 3)
-        assert univariate_gcd(f, g) == t + 1
-
-    def test_coprime(self):
-        r = PolyRing(("t",))
-        (t,) = r.gens()
-        g = univariate_gcd(t + 1, t - 1)
-        assert g.degree() == 0
 
 
 class TestRationalFunction:

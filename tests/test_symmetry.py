@@ -54,6 +54,12 @@ class TestPreservation:
             [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         assert not preserves_relations(swap, space)
 
+    def test_scaling_one_generator_fails(self):
+        space = sklyanin_relations(4, 9, 25)
+        scale = LinearAutomorphism(QQi, [
+            [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert not preserves_relations(scale, space)
+
     def test_closed_under_composition_and_inverse(self, psis):
         space = sklyanin_relations(4, 9, 25)
         assert preserves_relations(psis[0].compose(psis[1]), space)
