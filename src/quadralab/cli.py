@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import InvalidInput, QuadralabError
-from .extension import ExtensionElement
 from .freealg import generators
 from .geometry import minor_factorization_report, point_table, verify_gamma
 from .graded import DEFAULT_DEGREE_CAP, GradedQuotient
@@ -31,7 +30,6 @@ from .center import (
     sklyanin_central_pair,
     squares_identity_report,
 )
-from .poly import MultiPoly, RationalFunction
 from .presentations import (
     angle_invariant,
     chl_to_sklyanin_params,
@@ -40,7 +38,7 @@ from .presentations import (
     invariant_table,
     sklyanin_relations,
 )
-from .scalars import DEFAULT_PRIME, GaussianRational, PrimeField, parse_scalar
+from .scalars import DEFAULT_PRIME, PrimeField, RingOps, parse_scalar
 from .selftest import run_acceptance
 from .symmetry import (
     gamma_maps,
@@ -53,8 +51,7 @@ from .symmetry import (
 
 def _literal(value):
     """Render any scalar-ish value as an exact literal."""
-    if isinstance(value, (GaussianRational, Fraction, MultiPoly, RationalFunction,
-                          ExtensionElement)):
+    if isinstance(value, (RingOps, Fraction)):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_literal(v) for v in value]

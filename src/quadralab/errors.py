@@ -65,6 +65,6 @@ class DegreeCapExceeded(InvalidInput):
         self.degree = degree
         self.cap = cap
         super().__init__(
-            f"degree {degree} exceeds the cap {cap}; pass force=True "
-            "(CLI: hilbert --force) or raise QUADRALAB_DEGREE_CAP to override"
+            f"degree {degree} exceeds the cap {cap}; raise QUADRALAB_DEGREE_CAP, "
+            "or for dimensions pass force=True (CLI: hilbert --force), to override"
         )

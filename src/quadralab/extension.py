@@ -8,12 +8,16 @@ adjunctions flattens to the expected product-length coordinate vector.
 Arithmetic reduces t^k for k >= n through the defining relation.  The
 quotient need not be a field: inversion runs an extended Euclidean
 algorithm against t^n - r and raises NotInvertible when it hits a zero
-divisor instead of returning garbage.
+divisor instead of returning garbage.  ``ExtensionElement`` supplies
+``_lift``, ``+``, unary ``-``, ``*``, ``_one`` and that ``inverse``, and
+derives ``-``, ``/`` and ``**`` from ``scalars.FieldOps``; the base field's
+elements are inverted with their own ``inverse``.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertible
+from .scalars import FieldOps
 
 
 class ExtensionField:
@@ -106,15 +110,12 @@ def adjoin_square_root(base, symbol: str, radicand) -> ExtensionField:
     return ExtensionField(base, symbol, 2, radicand)
 
 
-class ExtensionElement:
+class ExtensionElement(FieldOps):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: ExtensionField, coeffs: tuple):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtensionElement is immutable")
 
     def _lift(self, other):
         if isinstance(other, ExtensionElement) and (
@@ -126,11 +127,11 @@ class ExtensionElement:
         except (TypeError, ValueError):
             return None
 
+    def _one(self):
+        return self.field.one()
+
     def __bool__(self):
         return any(bool(c) for c in self.coeffs)
-
-    def is_zero(self):
-        return not self
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -153,18 +154,6 @@ class ExtensionElement:
 
     def __neg__(self):
         return ExtensionElement(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -190,20 +179,6 @@ class ExtensionElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, m):
-        if not isinstance(m, int):
-            return NotImplemented
-        if m < 0:
-            return self.inverse() ** (-m)
-        out = self.field.one()
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
     def inverse(self) -> "ExtensionElement":
         """Extended Euclid against t^n - r over the base field."""
         if not self:
@@ -225,22 +200,9 @@ class ExtensionElement:
         if not r1:
             raise NotInvertible(self, "zero divisor in the adjunction quotient")
         # r1 is a nonzero constant: s1 / r1 is the inverse
-        c = r1[0]
-        inv_c = _field_inverse(c)
+        inv_c = r1[0].inverse()
         coeffs = [x * inv_c for x in s1]
         return self.field.element(coeffs[:n])
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def constant_part(self):
         """Base-field coefficient of t^0."""
@@ -265,12 +227,6 @@ class ExtensionElement:
 
     def __repr__(self):
         return f"ExtensionElement<{self.field.symbol}>({self})"
-
-
-def _field_inverse(c):
-    if hasattr(c, "inverse"):
-        return c.inverse()
-    return 1 / c
 
 
 def _trim(coeffs, zero):
@@ -311,7 +267,7 @@ def _poly_divmod(a, b, base):
     b = _trim(list(b), zero)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = _field_inverse(b[-1])
+    inv_lead = b[-1].inverse()
     q = [zero] * max(0, len(a) - len(b) + 1)
     r = a
     while r and len(r) >= len(b):

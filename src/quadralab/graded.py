@@ -61,7 +61,7 @@ def degree_cap() -> int:
         raise InvalidInput(f"{ENV_DEGREE_CAP} must be an integer, got {value!r}") from None
 
 
-def _check_cap(n: int, force: bool):
+def _check_cap(n: int, force=False):
     cap = degree_cap()
     if n > cap and not force:
         raise DegreeCapExceeded(n, cap)
@@ -293,32 +293,32 @@ class GradedQuotient:
 
     # -- membership and normal forms (always exact) -----------------------
 
-    def contains(self, f: FreeElement, force=False) -> bool:
+    def contains(self, f: FreeElement) -> bool:
         if f.is_zero():
             return True
         n = f.degree()
         if n < 2:
             return False
-        _check_cap(n, force)
+        _check_cap(n)
         if self._ideal_side:
-            return self.exact.slice(n, force).contains(f.coefficient_vector(n))
+            return self.exact.slice(n).contains(f.coefficient_vector(n))
         return not self.tower().coordinates(f, n)
 
-    def normal_form(self, f: FreeElement, force=False) -> FreeElement:
+    def normal_form(self, f: FreeElement) -> FreeElement:
         """The canonical representative of f + (R) supported on normal words."""
         if f.is_zero():
             return f
         n = f.degree()
         if n < 2:
             return f
-        _check_cap(n, force)
+        _check_cap(n)
         if self._ideal_side:
-            return from_vector(self.exact.slice(n, force).reduce(f.coefficient_vector(n)), n)
+            return from_vector(self.exact.slice(n).reduce(f.coefficient_vector(n)), n)
         tower = self.tower()
         return from_vector({tower.words[n][k]: v
                             for k, v in tower.coordinates(f, n).items()}, n)
 
-    def is_central(self, z: FreeElement, force=False):
+    def is_central(self, z: FreeElement):
         """(True, None) or (False, index of a generator that fails).
 
         Centrality in each degree is the finite condition [z, x_g] in (R)
@@ -327,11 +327,11 @@ class GradedQuotient:
         if z.is_zero():
             return True, None
         for g, xg in enumerate(generators(self.space.field)):
-            if not self.contains(commutator(z, xg), force):
+            if not self.contains(commutator(z, xg)):
                 return False, g
         return True, None
 
-    def membership_certificate(self, f: FreeElement, force=False):
+    def membership_certificate(self, f: FreeElement):
         """Express f as sum coeff * left * relation * right, or None.
 
         Returns a list of (left word, relation index, right word, coeff).
@@ -343,7 +343,7 @@ class GradedQuotient:
         n = f.degree()
         if n < 2:
             return None
-        _check_cap(n, force)
+        _check_cap(n)
         if self._ideal_side:
             raise PreconditionViolated("membership certificates need coefficients "
                                        "outside a function field")

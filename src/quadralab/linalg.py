@@ -102,7 +102,7 @@ class SparseEchelon:
         if not work:
             return None
         col = min(work)
-        inv = _inv(work[col])
+        inv = work[col].inverse()
         row = {c: v * inv for c, v in work.items()}
         if self.track:
             combo[tag] = self.field.one()
@@ -110,12 +110,6 @@ class SparseEchelon:
         self.rows.append(row)
         self.pivot_of[col] = len(self.rows) - 1
         return col
-
-
-def _inv(x):
-    if hasattr(x, "inverse"):
-        return x.inverse()
-    return 1 / x
 
 
 class PolyRowEchelon:
@@ -385,7 +379,7 @@ def mat_inverse(field, a):
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _inv(aug[col][col])
+        inv = aug[col][col].inverse()
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r == col or not aug[r][col]:

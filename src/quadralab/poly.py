@@ -8,7 +8,14 @@ output, leading terms, and "equal up to scalar" comparisons stable.
 ``RationalFunction`` keeps num/den pairs.  Reduction is best effort
 (monomial content, a constant denominator, and exact-division probes in
 both directions; no gcd); equality is always decided by
-cross-multiplication, which needs no gcd at all.
+cross-multiplication, which needs no gcd at all, and the hash is the
+leading-term ratio lt(num)/lt(den), the same for every representation.
+
+``MultiPoly`` derives ``-`` and ``**`` from ``scalars.RingOps`` and has no
+``/``: dividing by a ``RationalFunction`` falls through to its reflected
+operator.  ``RationalFunction`` derives ``-``, ``/`` and ``**`` from
+``scalars.FieldOps``.  Each supplies ``_lift``, ``+``, unary ``-``, ``*``
+and ``_one``; ``RationalFunction`` also ``inverse``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotInvertible
-from .scalars import GaussianRational, QI_ONE, QI_ZERO, QQi
+from .scalars import FieldOps, GaussianRational, QI_ONE, QI_ZERO, QQi, RingOps
 
 
 class PolyRing:
@@ -82,15 +89,12 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-class MultiPoly:
+class MultiPoly(RingOps):
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- basic structure --------------------------------------------------
 
@@ -103,11 +107,11 @@ class MultiPoly:
             return self.ring.constant(other)
         return None
 
+    def _one(self):
+        return self.ring.one()
+
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -136,18 +140,6 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -164,18 +156,6 @@ class MultiPoly:
         return MultiPoly(self.ring, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def scale(self, c) -> "MultiPoly":
         c = QQi.coerce(c)
@@ -354,7 +334,7 @@ def shift_down(p: MultiPoly, mono) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-class RationalFunction:
+class RationalFunction(FieldOps):
     """num/den with MultiPoly parts; den is never zero and is kept monic."""
 
     __slots__ = ("num", "den")
@@ -368,9 +348,6 @@ class RationalFunction:
             num, den = _reduce_fraction(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RationalFunction is immutable")
 
     @property
     def ring(self):
@@ -389,11 +366,11 @@ class RationalFunction:
             return RationalFunction(self.ring.constant(other), reduce=False)
         return None
 
+    def _one(self):
+        return RationalFunction(self.ring.one(), reduce=False)
+
     def __bool__(self):
         return bool(self.num)
-
-    def is_zero(self):
-        return self.num.is_zero()
 
     def __add__(self, other):
         o = self._lift(other)
@@ -408,18 +385,6 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den, reduce=False)
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -433,32 +398,6 @@ class RationalFunction:
             raise NotInvertible(self, "zero rational function")
         return RationalFunction(self.den, self.num)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RationalFunction(self.ring.one(), reduce=False)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -467,9 +406,13 @@ class RationalFunction:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
-        if self.den == self.ring.one():
-            return hash(self.num)
-        return hash((self.num, self.den))
+        # Reduction keeps no canonical form, but lt(num)/lt(den) is the same
+        # for every representation of one value: lt is multiplicative.
+        if not self.num:
+            return 0
+        nexp, nc = self.num.leading()
+        dexp, dc = self.den.leading()
+        return hash((tuple(a - b for a, b in zip(nexp, dexp)), nc / dc))
 
     def evaluate(self, values: dict):
         den = self.den.evaluate(values)

@@ -203,7 +203,7 @@ class CHLParams:
         """Scale so the first nonzero coordinate is 1 (projective form)."""
         for v in (self.a, self.b, self.c, self.d):
             if v:
-                inv = v.inverse() if hasattr(v, "inverse") else 1 / v
+                inv = v.inverse()
                 return tuple(x * inv for x in (self.a, self.b, self.c, self.d))
         raise DegenerateParameters("zero tuple")
 

@@ -9,6 +9,13 @@ Three scalar domains live here:
   modular rank backend.  The congruence condition guarantees a square root
   of -1 exists mod p; the chosen root is fixed per field and reported.
 
+The secondary operators of every scalar type in the package derive from
+two bases defined here.  ``RingOps`` gives ``-`` (both sides), ``**`` for
+n >= 0, ``is_zero`` and the immutability guard; ``FieldOps`` adds ``/``
+(both sides) and negative powers.  A subclass supplies ``_lift`` (the
+other operand in its own type, or None), ``+``, unary ``-``, ``*``,
+``_one`` and, for a field, ``inverse``.
+
 Everything is immutable and safe to share.  Scalar literals round-trip
 through ``parse_scalar`` / ``str``.
 """
@@ -23,7 +30,67 @@ from .errors import NotInvertible, ScalarParseError
 BigRational = Fraction
 
 
-class GaussianRational:
+class RingOps:
+    """Subtraction, powers, ``is_zero`` and immutability from ``+``, ``-x``, ``*``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self):
+        return not self
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = self._one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+
+class FieldOps(RingOps):
+    """Division and negative powers from ``inverse``."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if isinstance(n, int) and n < 0:
+            return self.inverse() ** -n
+        return RingOps.__pow__(self, n)
+
+
+class GaussianRational(FieldOps):
     """An element re + im*i of Q(i), with exact Fraction parts."""
 
     __slots__ = ("re", "im")
@@ -31,9 +98,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def _raw(cls, re, im):
@@ -43,36 +107,40 @@ class GaussianRational:
         object.__setattr__(self, "im", im)
         return self
 
+    @staticmethod
+    def _lift(value):
+        if isinstance(value, GaussianRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return GaussianRational(value)
+        return None
+
+    @staticmethod
+    def _one():
+        return QI_ONE
+
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re + other.re, self.im + other.im)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational._lift(other)
+            if other is None:
+                return NotImplemented
         return GaussianRational._raw(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re - other.re, self.im - other.im)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational._lift(other)
+            if other is None:
+                return NotImplemented
         return GaussianRational._raw(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
-            other = _coerce(other)
-            if other is NotImplemented:
+            other = GaussianRational._lift(other)
+            if other is None:
                 return NotImplemented
         if not self.im and not other.im:
             return GaussianRational._raw(self.re * other.re, self.im)
@@ -99,37 +167,11 @@ class GaussianRational:
             raise NotInvertible(self, "zero in Q(i)")
         return GaussianRational(self.re / n, -self.im / n)
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- comparisons / hashing ------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        other = GaussianRational._lift(other)
+        if other is None:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -146,14 +188,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self})"
-
-
-def _coerce(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    return NotImplemented
 
 
 QI_ZERO = GaussianRational(0)
@@ -380,15 +414,12 @@ class PrimeField:
         return f"PrimeField({self.p}, i={self.sqrt_minus_one})"
 
 
-class PrimeFieldElement:
+class PrimeFieldElement(FieldOps):
     __slots__ = ("value", "field")
 
     def __init__(self, value: int, field: PrimeField):
         object.__setattr__(self, "value", value % field.p)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PrimeFieldElement is immutable")
 
     def _lift(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -397,6 +428,9 @@ class PrimeFieldElement:
             return self.field.coerce(other)
         except TypeError:
             return None
+
+    def _one(self):
+        return PrimeFieldElement(1, self.field)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -411,12 +445,6 @@ class PrimeFieldElement:
         if o is None:
             return NotImplemented
         return PrimeFieldElement(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -433,25 +461,6 @@ class PrimeFieldElement:
         if self.value == 0:
             raise NotInvertible(self, f"zero in F_{self.field.p}")
         return PrimeFieldElement(pow(self.value, self.field.p - 2, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return PrimeFieldElement(pow(self.value, n, self.field.p), self.field)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -485,8 +494,8 @@ class RationalField:
         return QI_I
 
     def coerce(self, value) -> GaussianRational:
-        got = _coerce(value)
-        if got is NotImplemented:
+        got = GaussianRational._lift(value)
+        if got is None:
             if isinstance(value, str):
                 return parse_scalar(value)
             raise TypeError(f"cannot coerce {value!r} into Q(i)")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadralab.freealg import generators
 from quadralab.poly import (
     FunctionField,
     MultiPoly,
@@ -75,6 +76,17 @@ class TestRationalFunction:
         x = RationalFunction(a * b + b * b, b)  # reduces to a+b
         y = RationalFunction(a + b)
         assert x == y
+
+    def test_equal_values_hash_equal(self, ring):
+        a = ring.gen("a")
+        f = RationalFunction((a + 1) * (a + 2), (a + 1) * (a + 3))
+        g = RationalFunction(a + 2, a + 3)
+        assert f == g and f.den != g.den
+        assert hash(f) == hash(g) and len({f, g}) == 1
+        field = FunctionField(ring)
+        x0 = generators(field)[0]
+        assert len({x0.scale(f), x0.scale(g)}) == 1
+        assert hash(field.zero()) == hash(RationalFunction(a - a, a + 1))
 
     def test_monic_denominator(self, ring):
         a, b, _, _ = ring.gens()
