@@ -2,14 +2,16 @@
 
 Two independent verification routes are kept deliberately separate:
 
-* ``GradedQuotient.is_central`` certifies centrality by exact degree-3
-  ideal membership (one commutator per generator);
+* ``GradedQuotient.is_central`` decides centrality by exact degree-3
+  ideal membership (one commutator per generator); over Q(i)(a,b,c,d)
+  each member carries a polynomial certificate, solved over Q(i) and
+  re-expanded (``graded.ParametricSlices``);
 * the identity suite expands explicit free-algebra combinations of the
   relations with polynomial coefficients and checks that they reproduce
   the commutators in question, with zero residual.
 
-Both run over symbolic coefficient rings, so the central elements of the
-two families are certified for all parameter values at once.
+Both hold for symbolic parameters, so the central elements of the two
+families are certified for all parameter values at once.
 """
 
 from __future__ import annotations
@@ -142,8 +144,7 @@ def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
 
     Z2 times (q2 q3)^2 has base-field coefficients (the fourth powers of
     the roots collapse), and centrality is invariant under that unit
-    scaling, so the commutators are reduced as ordinary base-field
-    vectors.
+    scaling, so the commutators are base-field elements.
     """
     psi, z2 = chl_z2(a, b, c, d, field)
     if quotient is None:
@@ -157,6 +158,15 @@ def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
             v = v.constant_part()
         base[w] = v
     return quotient.is_central(FreeElement(base))
+
+
+def chl_symbolic_central():
+    """(Z1 central?, Z2 central?) over Q(i)(a,b,c,d), on one shared quotient."""
+    F = FunctionField(PolyRing(("a", "b", "c", "d")))
+    a, b, c, d = F.gens()
+    quotient = GradedQuotient(chl_z_relations(a, b, c, d, field=F, verify=False))
+    return (chl_z1_central(a, b, c, d, field=F, quotient=quotient)[0],
+            chl_z2_central(a, b, c, d, field=F, quotient=quotient)[0])
 
 
 # ---------------------------------------------------------------------------

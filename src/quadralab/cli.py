@@ -23,6 +23,7 @@ from .graded import DEFAULT_DEGREE_CAP, GradedQuotient
 from .center import (
     central_pair_identity_report,
     chl_identity_report,
+    chl_symbolic_central,
     chl_z1,
     chl_z1_central,
     chl_z2,
@@ -260,26 +261,14 @@ def cmd_chl(args):
             payload["Z2_central"] = None
             payload["Z2_note"] = str(exc)
             ok2 = True
-        sym_ok = True
+        sym = (True, True)
         if getattr(args, "symbolic", False):
-            sym_ok = _symbolic_center_payload(payload)
+            # Z1 and Z2 certified over the rational function field in a,b,c,d
+            sym = chl_symbolic_central()
+            payload["symbolic"] = {"Z1_central": sym[0], "Z2_central": sym[1]}
         _emit(payload, args.format)
-        return 0 if ok1 and ok2 and sym_ok else 1
+        return 0 if ok1 and ok2 and all(sym) else 1
     raise InvalidInput(f"unknown chl action {args.chl_action!r}")
-
-
-def _symbolic_center_payload(payload) -> bool:
-    """Certify Z1 and Z2 over the rational function field in a,b,c,d."""
-    from .poly import FunctionField, PolyRing
-
-    ring = PolyRing(("a", "b", "c", "d"))
-    F = FunctionField(ring)
-    a, b, c, d = F.gens()
-    quotient = GradedQuotient(chl_z_relations(a, b, c, d, field=F, verify=False))
-    z1_ok, _ = chl_z1_central(a, b, c, d, field=F, quotient=quotient)
-    z2_ok, _ = chl_z2_central(a, b, c, d, field=F, quotient=quotient)
-    payload["symbolic"] = {"Z1_central": z1_ok, "Z2_central": z2_ok}
-    return z1_ok and z2_ok
 
 
 def cmd_center(args):
@@ -349,11 +338,12 @@ def cmd_iso_invariants(args):
 
 def cmd_selftest(args):
     results = run_acceptance(args.only or None)
-    for r in results:
-        print(r.line())
     if args.format == "json":
         print(json.dumps({"version": __version__,
                           "results": [r.as_dict() for r in results]}, indent=2))
+    else:
+        for r in results:
+            print(r.line())
     return 0 if all(r.passed for r in results) else 1
 
 

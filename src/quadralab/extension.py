@@ -140,6 +140,8 @@ class ExtensionElement(FieldOps):
         return all(a == b for a, b in zip(self.coeffs, o.coeffs))
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_part())
         return hash((self.field.symbol, self.coeffs))
 
     def __add__(self, other):

@@ -16,7 +16,7 @@ so the twenty-point table stays inside Q(i) for rational fixtures.
 from __future__ import annotations
 
 from .errors import DegenerateParameters, PreconditionViolated
-from .linalg import make_echelon
+from .linalg import SparseEchelon
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -542,7 +542,7 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
                 report.failures.append(f"form {name} is nonzero at ({p!r}, {pp!r})")
 
     # kernel of the 20x16 evaluation matrix
-    ech = make_echelon(QQi)
+    ech = SparseEchelon(QQi)
     for p, pp in graph:
         row = {}
         for k in range(4):

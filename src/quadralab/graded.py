@@ -22,32 +22,34 @@ normal forms and centrality read that class.  Certificates use
 degree-n rows account for f's image in A_{n-1} (x) V, and what is left is
 certified one degree down, letter by letter.
 
-Over function fields the recursion is too slow to build (its degree-3
-elimination over Q(i)(a,b,c,d) ran for minutes), so there every query,
-dimensions included, uses the ideal slices, and ``tower`` refuses; the
-slices are also the quotient side's test reference.  The degree-n slice
-of (R) is spanned by the rows w * r * w' with |w| + |w'| = n - 2, built as
-
-    W_n = V (x) W_{n-1}  +  R (x) V^{(n-2)}
-
-and dim A_n = 4^n - rank W_n.  The first summand contributes four disjoint
-column blocks (one per leading letter) that are already in echelon form,
-so inserting them reduces nothing; only the 6*4^(n-2) relation rows need
-actual reduction.
+Over a function field F = Q(i)(params) the recursion is too slow to build
+(its degree-3 elimination over Q(i)(a,b,c,d) ran for minutes), so ``tower``
+refuses, and no elimination above degree two runs over F.  Degree 2 reads
+the relation space's own echelon.  From degree 3 on, ``ParametricSlices``
+decides membership by polynomial certificates over Q(i), checked by
+re-expansion, and certifies dimensions and non-membership by the generic
+rank: the rank at a fixed Q(i) point, matched by syzygies that stay
+independent there.  Normal forms above degree two are not computed over F.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import product
 
 from .errors import DegreeCapExceeded, InvalidInput, PreconditionViolated
-from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word
-from .linalg import SparseEchelon, make_echelon
-from .poly import FunctionField
+from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word, word_index
+from .linalg import SparseEchelon
+from .poly import FunctionField, MacaulaySlice, RationalFunction
 from .presentations import RelationSpace
-from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME
+from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, gaussian
 
 DEFAULT_DEGREE_CAP = 7
+#: the Q(i) point at which function-field quotients are specialised, one
+#: coordinate per parameter in the ring's order
+SPECIALIZATION_POINT = (2, 3, 5, 7, 11, 13)
+#: the syzygy search stops this many parameter degrees above the relations
+SYZYGY_DEGREE_CEILING = 3
 ENV_DEGREE_CAP = "QUADRALAB_DEGREE_CAP"
 
 
@@ -65,46 +67,6 @@ def _check_cap(n: int, force=False):
     cap = degree_cap()
     if n > cap and not force:
         raise DegreeCapExceeded(n, cap)
-
-
-class ExactSlices:
-    """Sparse echelon bases of the ideal slices over the exact field."""
-
-    def __init__(self, space: RelationSpace):
-        self.space = space
-        self.field = space.field
-        self._cache = {}
-
-    def slice(self, n: int, force=False):
-        if n < 2:
-            raise ValueError("ideal slices start at degree 2")
-        _check_cap(n, force)
-        if n not in self._cache:
-            self._cache[n] = self._build(n, force)
-        return self._cache[n]
-
-    def _build(self, n: int, force: bool):
-        ech = make_echelon(self.field)
-        if n == 2:
-            for row in self.space.rows:
-                ech.insert(row)
-            return ech
-        prev = self.slice(n - 1, force)
-        width = NGENS ** (n - 1)
-        # x_g (x) W_{n-1}: shifted copies of the previous echelon rows
-        for g in range(NGENS):
-            base = g * width
-            for _, ridx in sorted(prev.pivot_of.items()):
-                ech.insert({base + c: v for c, v in prev.rows[ridx].items()})
-        # R (x) V^{(n-2)}: the only rows that need honest reduction
-        suffix_count = NGENS ** (n - 2)
-        for rel in self.space.rows:
-            for suffix in range(suffix_count):
-                ech.insert({c * suffix_count + suffix: v for c, v in rel.items()})
-        return ech
-
-    def rank(self, n: int, force=False) -> int:
-        return self.slice(n, force).rank
 
 
 def _add_scaled(out: dict, vec: dict, c):
@@ -237,22 +199,159 @@ class QuotientTower:
         return out
 
 
+def _cleared(f: FreeElement, field):
+    """(f', s) with f' = s * f: MultiPoly coefficients, s a nonzero MultiPoly.
+
+    Denominators are taken largest first and multiplied in only when they
+    do not divide the product so far, so one that divides a larger one
+    (bc and bcQ, say) adds no degree.
+    """
+    values = [field.coerce(v) for v in f.terms.values()]
+    s = field.ring.one()
+    for den in sorted((v.den for v in values), reverse=True,
+                      key=lambda den: (den.degree(), len(den.terms))):
+        if s.divide_exact(den) is None:
+            s = s * den
+    return FreeElement({w: v.num * s.divide_exact(v.den)
+                        for w, v in zip(f.terms, values)}), s
+
+
+def _parameter_degree(f: FreeElement):
+    """The one total degree of f's polynomial coefficients, or None."""
+    degrees = {sum(e) for v in f.terms.values() for e in v.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _parts(f: FreeElement, left=(), right=()):
+    """left * f * right as {(word rank, parameter exponent): Q(i) scalar}."""
+    return {(word_index(left + w + right), e): c
+            for w, v in f.terms.items() for e, c in v.terms.items()}
+
+
+class ParametricSlices:
+    """(R)_n over F = Q(i)(params), n >= 2, from linear algebra over Q(i).
+
+    The relations r_k and each target f are cleared of denominators, to
+    u_k * r_k and f' = s * f (units of F, so membership is unchanged), and
+    must then be homogeneous in the parameters.  If f' is a sum of
+    lambda * w * u_k r_k * w' with polynomials lambda, their degree is
+    deg f' - deg r_k, so the unknowns are Q(i) coefficients: one tracked
+    ``MacaulaySlice`` per (n, deg f'), shared across queries, solves for
+    the certificate.
+
+    Otherwise the generic rank of (R)_n decides.  Specialising to the
+    point p only lowers rank; syzygies among the rows (the dependent rows
+    of the same slices) that stay independent at p are independent over F
+    and bound the rank from above.  When the bounds meet, dim_F A_n =
+    dim A_n(p), and f is not a member if f'(p) has a nonzero class in
+    A_n(p).  A target that neither way decides is refused.
+    """
+
+    def __init__(self, space: RelationSpace):
+        field = space.field
+        if field.ring.nvars > len(SPECIALIZATION_POINT):
+            raise PreconditionViolated(f"more than {len(SPECIALIZATION_POINT)} parameters")
+        self.space = space
+        self.ring = field.ring
+        self.relations, self.units = zip(*(_cleared(e, field) for e in space.elements))
+        self.degrees = [_parameter_degree(r) for r in self.relations]
+        if None in self.degrees:
+            raise PreconditionViolated("relations over a function field must be homogeneous "
+                                       "in the parameters above degree two")
+        self.point = dict(zip(self.ring.variables, map(gaussian, SPECIALIZATION_POINT)))
+        self.at_point = QuotientTower(
+            QQi, [self._at_point(r).coefficient_vector(2) for r in self.relations])
+        self._rows = {}
+        self._slices = {}
+        self._certified = set()
+
+    def _at_point(self, f: FreeElement) -> FreeElement:
+        values = {w: v.evaluate(self.point) for w, v in f.terms.items()}
+        return FreeElement({w: c for w, c in values.items() if c})
+
+    def _generators(self, n: int):
+        """The rows w * r * w' of (R)_n: tags (w, relation index, w') and parts."""
+        if n not in self._rows:
+            tags, parts = [], []
+            for k, rel in enumerate(self.relations):
+                for i in range(n - 1):
+                    for left in product(range(NGENS), repeat=i):
+                        for right in product(range(NGENS), repeat=n - 2 - i):
+                            tags.append((left, k, right))
+                            parts.append(_parts(rel, left, right))
+            self._rows[n] = tags, parts
+        return self._rows[n]
+
+    def _slice(self, n: int, d: int) -> MacaulaySlice:
+        if (n, d) not in self._slices:
+            self._slices[n, d] = MacaulaySlice(QQi, self._generators(n)[1], d, self.ring.nvars)
+        return self._slices[n, d]
+
+    def _verified(self, n: int, combo, target: FreeElement, s=None):
+        """{(row, monomial): c} as terms (w, k, w', lambda * u_k / s) summing to target."""
+        tags = self._generators(n)[0]
+        lam = {}
+        for (gi, mono), c in combo.items():
+            lam[gi] = lam.get(gi, self.ring.zero()) + self.ring.monomial(mono, c)
+        out = [tags[gi] + (RationalFunction(v * self.units[tags[gi][1]], s),)
+               for gi, v in lam.items()]
+        if not verify_certificate(self.space, out, target):
+            raise AssertionError("a certificate does not re-expand to its target")
+        return out
+
+    def dimension(self, n: int) -> int:
+        """dim A_n(p), once the syzygies prove it is the generic dimension."""
+        if n not in self._certified:
+            needed = len(self._generators(n)[0]) - NGENS ** n + self.at_point.dimension(n)
+            at_point = SparseEchelon(QQi)
+            for d in range(min(self.degrees), max(self.degrees) + SYZYGY_DEGREE_CEILING + 1):
+                if at_point.rank == needed:
+                    break
+                for syzygy in self._slice(n, d).syzygies():
+                    terms = self._verified(n, syzygy, FreeElement())
+                    at_point.insert({t[:3]: t[3].evaluate(self.point) for t in terms})
+            if at_point.rank < needed:
+                raise PreconditionViolated(f"no syzygies up to degree {SYZYGY_DEGREE_CEILING} "
+                                           f"certify the generic rank in degree {n}")
+            self._certified.add(n)
+        return self.at_point.dimension(n)
+
+    def certificate(self, f: FreeElement, n: int):
+        """f as re-expanded (left word, relation index, right word, coeff) terms, or None.
+
+        None means f is not in (R)_n; an undecided f raises PreconditionViolated.
+        """
+        cleared, s = _cleared(f, self.space.field)
+        d = _parameter_degree(cleared)
+        if d is None:
+            raise PreconditionViolated("the target must be homogeneous in the parameters "
+                                       "once its denominators are cleared")
+        combo = self._slice(n, d).certificate(_parts(cleared))
+        if combo is not None:
+            return self._verified(n, combo, f, s)
+        self.dimension(n)
+        if self.at_point.coordinates(self._at_point(cleared), n):
+            return None
+        raise PreconditionViolated("undecided: no certificate, and the class vanishes "
+                                   "at the specialisation point")
+
+
 class GradedQuotient:
     """Hilbert data, ideal membership, and normal forms for TV/(R)."""
 
     def __init__(self, space: RelationSpace, p: int = DEFAULT_PRIME):
         self.space = space
-        self.exact = ExactSlices(space)
         self.p = p
         self._towers = {}
-        self._ideal_side = isinstance(space.field, FunctionField)
+        self._symbolic = isinstance(space.field, FunctionField)
+        self._parametric = None
 
     def tower(self, backend="exact") -> QuotientTower:
         """The quotient-side recursion over the field the backend names.
 
-        Refused over a function field, where every query uses the ideal slices.
+        Refused over a function field (see ``parametric``).
         """
-        if self._ideal_side:
+        if self._symbolic:
             raise PreconditionViolated("the quotient tower is not built over a function field")
         if backend not in self._towers:
             if backend == "exact":
@@ -263,6 +362,12 @@ class GradedQuotient:
                 raise ValueError(f"unknown backend {backend!r}")
             self._towers[backend] = tower
         return self._towers[backend]
+
+    def parametric(self) -> ParametricSlices:
+        """The function-field side above degree two, built on first use."""
+        if self._parametric is None:
+            self._parametric = ParametricSlices(self.space)
+        return self._parametric
 
     def _modular_tower(self) -> QuotientTower:
         field = PrimeField(self.p)
@@ -279,8 +384,10 @@ class GradedQuotient:
 
     def dimension(self, n: int, backend="exact", force=False) -> int:
         _check_cap(n, force)
-        if self._ideal_side and backend == "exact":
-            return NGENS ** n - (self.exact.rank(n, force) if n >= 2 else 0)
+        if self._symbolic and backend == "exact":
+            if n <= 2:
+                return NGENS ** n - (self.space.echelon.rank if n == 2 else 0)
+            return self.parametric().dimension(n)
         return self.tower(backend).dimension(n)
 
     def hilbert_function(self, top_degree: int, backend="exact", force=False):
@@ -300,20 +407,28 @@ class GradedQuotient:
         if n < 2:
             return False
         _check_cap(n)
-        if self._ideal_side:
-            return self.exact.slice(n).contains(f.coefficient_vector(n))
+        if self._symbolic:
+            if n == 2:
+                return self.space.contains(f)
+            return self.parametric().certificate(f, n) is not None
         return not self.tower().coordinates(f, n)
 
     def normal_form(self, f: FreeElement) -> FreeElement:
-        """The canonical representative of f + (R) supported on normal words."""
+        """The canonical representative of f + (R) supported on normal words.
+
+        Over a function field only in degree 2.
+        """
         if f.is_zero():
             return f
         n = f.degree()
         if n < 2:
             return f
         _check_cap(n)
-        if self._ideal_side:
-            return from_vector(self.exact.slice(n).reduce(f.coefficient_vector(n)), n)
+        if self._symbolic:
+            if n > 2:
+                raise PreconditionViolated("normal forms above degree two are not computed "
+                                           "over a function field")
+            return from_vector(self.space.echelon.reduce(f.coefficient_vector(2)), 2)
         tower = self.tower()
         return from_vector({tower.words[n][k]: v
                             for k, v in tower.coordinates(f, n).items()}, n)
@@ -335,8 +450,8 @@ class GradedQuotient:
         """Express f as sum coeff * left * relation * right, or None.
 
         Returns a list of (left word, relation index, right word, coeff).
-        Function-field coefficients are refused: the quotient side, which
-        builds certificates, cannot be built over them in reasonable time.
+        Over a function field the coefficients are polynomial whenever the
+        relations and f are.
         """
         if f.is_zero():
             return []
@@ -344,9 +459,8 @@ class GradedQuotient:
         if n < 2:
             return None
         _check_cap(n)
-        if self._ideal_side:
-            raise PreconditionViolated("membership certificates need coefficients "
-                                       "outside a function field")
+        if self._symbolic:
+            return self.parametric().certificate(f, n)
         return self.tower().certificate(f, n)
 
 

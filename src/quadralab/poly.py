@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotInvertible
+from .linalg import SparseEchelon
 from .scalars import FieldOps, GaussianRational, QI_ONE, QI_ZERO, QQi, RingOps
 
 
@@ -120,6 +121,8 @@ class MultiPoly(RingOps):
         return self.terms == o.terms
 
     def __hash__(self):
+        if self.degree() <= 0:
+            return hash(self.constant_term())
         return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __add__(self, other):
@@ -309,27 +312,6 @@ class MultiPoly(RingOps):
 
 
 # ---------------------------------------------------------------------------
-# gcd helpers (best effort, exact)
-# ---------------------------------------------------------------------------
-
-
-def monomial_content(p: MultiPoly):
-    """Componentwise-min exponent vector over all terms."""
-    it = iter(p.terms)
-    first = next(it)
-    mins = list(first)
-    for exp in it:
-        for k, e in enumerate(exp):
-            if e < mins[k]:
-                mins[k] = e
-    return tuple(mins)
-
-
-def shift_down(p: MultiPoly, mono) -> MultiPoly:
-    return MultiPoly(p.ring, {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()})
-
-
-# ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
 
@@ -412,7 +394,8 @@ class RationalFunction(FieldOps):
             return 0
         nexp, nc = self.num.leading()
         dexp, dc = self.den.leading()
-        return hash((tuple(a - b for a, b in zip(nexp, dexp)), nc / dc))
+        shift = tuple(a - b for a, b in zip(nexp, dexp))
+        return hash((shift, nc / dc)) if any(shift) else hash(nc / dc)
 
     def evaluate(self, values: dict):
         den = self.den.evaluate(values)
@@ -433,11 +416,11 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly):
     ring = num.ring
     if num.is_zero():
         return num, ring.one()
-    # shared monomial content
-    cn, cd = monomial_content(num), monomial_content(den)
-    common = tuple(min(a, b) for a, b in zip(cn, cd))
+    # shared monomial content: the least exponent of each variable
+    common = tuple(map(min, zip(*num.terms, *den.terms)))
     if any(common):
-        num, den = shift_down(num, common), shift_down(den, common)
+        num, den = (MultiPoly(ring, {tuple(a - b for a, b in zip(e, common)): c
+                                     for e, c in p.terms.items()}) for p in (num, den))
     # constant denominator
     if den.degree() == 0:
         return num.scale(den.constant_term().inverse()), ring.one()
@@ -537,6 +520,52 @@ def _monomials_of_degree(nvars: int, degree: int):
             yield (first,) + rest
 
 
+class MacaulaySlice:
+    """One degree of a module over a polynomial ring, as a tracked echelon.
+
+    A generator is a homogeneous vector of polynomials, given as
+    {(key, exponent tuple): scalar}: ``key`` names the coordinate (one
+    shared key for a plain polynomial) and every exponent has the same
+    total degree e; callers check the homogeneity.  The degree-d slice is
+    spanned by the rows m * g, m running over the monomials of degree
+    d - e (a generator with e > d adds nothing); row (i, m) is tagged by
+    the generator's index and m.  Membership is one reduction, and the rows
+    that come out dependent give the slice's syzygies, in the same tags.
+    """
+
+    def __init__(self, field, generators, degree: int, nvars: int):
+        self.columns = {}
+        self.one = (0,) * nvars  # the monomial 1
+        self.echelon = SparseEchelon(field, track=True)
+        self.dependent = []
+        for gi, parts in enumerate(generators):
+            e = sum(next(iter(parts))[1])
+            if e > degree:
+                continue
+            for mono in _monomials_of_degree(nvars, degree - e):
+                row = self._row(parts, mono)
+                if self.echelon.insert(row, tag=(gi, mono)) is None:
+                    self.dependent.append(((gi, mono), row))
+
+    def _row(self, parts, mono):
+        row = {}
+        for (key, exp), c in parts.items():
+            exp = tuple(a + b for a, b in zip(exp, mono))
+            row[self.columns.setdefault((key, exp), len(self.columns))] = c
+        return row
+
+    def certificate(self, target):
+        """{(generator index, m): coeff} with sum coeff * m * g == target, or None."""
+        residual, combo = self.echelon.reduce_with_combo(self._row(target, self.one))
+        return None if residual else combo
+
+    def syzygies(self):
+        """{tag: coeff} with sum coeff * m * g == 0, one per dependent row."""
+        for tag, row in self.dependent:
+            combo = self.echelon.reduce_with_combo(row)[1]
+            yield {tag: -self.echelon.field.one(), **combo}
+
+
 def ideal_slice_membership(f: MultiPoly, generators, degree_bound: int,
                            main_names=None):
     """Decide membership of f in the degree-(deg f) slice of an ideal.
@@ -551,8 +580,6 @@ def ideal_slice_membership(f: MultiPoly, generators, degree_bound: int,
     field).  Returns (True, certificate) with certificate a list of
     (generator index, exponent tuple, coefficient), or (False, None).
     """
-    from .linalg import SparseEchelon
-
     ring = f.ring
     if main_names is None:
         main_names = ring.variables
@@ -561,59 +588,33 @@ def ideal_slice_membership(f: MultiPoly, generators, degree_bound: int,
     field = FunctionField(PolyRing(param_names)) if param_names else None
 
     def collect(poly):
+        # {(None, main exponent): coefficient}: one shared key, a plain polynomial
         buckets = poly.split(main_names)
         if field is None:
-            return {k: v.constant_term() for k, v in buckets.items()}
+            return {(None, k): v.constant_term() for k, v in buckets.items()}
         return {
-            k: RationalFunction(_project(v, ring, field.ring), reduce=False)
+            (None, k): RationalFunction(_moved(v, field.ring), reduce=False)
             for k, v in buckets.items()
         }
 
-    def degree_of(exp):
-        return sum(exp)
-
-    f_parts = {k: v for k, v in collect(f).items()}
+    f_parts = collect(f)
     if not f_parts:
         return True, []
-    degs = {degree_of(k) for k in f_parts}
+    degs = {sum(k) for _, k in f_parts}
     if len(degs) > 1:
         raise ValueError(f"f is not homogeneous in {main_names}: degrees {degs}")
     d = degs.pop()
     if d > degree_bound:
         raise ValueError(f"deg f = {d} exceeds the bound {degree_bound}")
 
-    column_index = {}
-
-    def col_of(exp):
-        if exp not in column_index:
-            column_index[exp] = len(column_index)
-        return column_index[exp]
-
-    scalar_field = field if field is not None else _QQI_FIELD
-    ech = SparseEchelon(scalar_field, track=True)
-    tags = []
-    for gi, g in enumerate(generators):
-        g_parts = collect(g)
-        gdegs = {degree_of(k) for k in g_parts}
-        if len(gdegs) != 1:
+    g_parts = [collect(g) for g in generators]
+    for gi, parts in enumerate(g_parts):
+        if len({sum(k) for _, k in parts}) != 1:
             raise ValueError(f"generator {gi} is not homogeneous in {main_names}")
-        e = gdegs.pop()
-        if e > d:
-            continue
-        for mono in _monomials_of_degree(len(main_names), d - e):
-            row = {}
-            for k, coeff in g_parts.items():
-                exp = tuple(a + b for a, b in zip(k, mono))
-                row[col_of(exp)] = coeff
-            tag = (gi, mono)
-            tags.append(tag)
-            ech.insert(row, tag=tag)
-    target = {col_of(k): v for k, v in f_parts.items()}
-    residual, combo = ech.reduce_with_combo(target)
-    if residual:
+    combo = MacaulaySlice(field or QQi, g_parts, d, len(main_names)).certificate(f_parts)
+    if combo is None:
         return False, None
-    certificate = [(gi, mono, coeff) for (gi, mono), coeff in combo.items() if coeff]
-    return True, certificate
+    return True, [(gi, mono, c) for (gi, mono), c in combo.items()]
 
 
 def verify_slice_certificate(f: MultiPoly, generators, certificate,
@@ -634,39 +635,19 @@ def verify_slice_certificate(f: MultiPoly, generators, certificate,
         for k, e in zip(main_idx, mono):
             exp[k] = e
         term = generators[gi] * ring.monomial(tuple(exp))
-        if isinstance(coeff, RationalFunction):
-            num = _embed(coeff.num, ring)
-            den = _embed(coeff.den, ring)
-        else:
-            num = ring.constant(coeff)
-            den = ring.one()
+        if not isinstance(coeff, RationalFunction):
+            coeff = RationalFunction(ring.constant(coeff), reduce=False)
+        num, den = _moved(coeff.num, ring), _moved(coeff.den, ring)
         acc_num = acc_num * den + term * num * acc_den
         acc_den = acc_den * den
     return acc_num == f * acc_den
 
 
-def _project(poly: MultiPoly, ring: PolyRing, sub: PolyRing) -> MultiPoly:
-    """Rewrite a poly supported on sub's variables into sub."""
-    keep = [ring._index[v] for v in sub.variables]
-    terms = {}
-    for exp, c in poly.terms.items():
-        terms[tuple(exp[k] for k in keep)] = c
-    return MultiPoly(sub, terms)
-
-
-def _embed(poly: MultiPoly, ring: PolyRing) -> MultiPoly:
-    """Embed a poly from a variable-subset ring into the bigger ring."""
-    pos = [ring._index[v] for v in poly.ring.variables]
-    terms = {}
-    for exp, c in poly.terms.items():
-        big = [0] * ring.nvars
-        for k, e in zip(pos, exp):
-            big[k] = e
-        terms[tuple(big)] = c
-    return MultiPoly(ring, terms)
-
-
-_QQI_FIELD = QQi
+def _moved(poly: MultiPoly, ring: PolyRing) -> MultiPoly:
+    """poly rewritten in ring, which has every variable poly's terms use."""
+    pos = [poly.ring._index.get(v) for v in ring.variables]
+    return MultiPoly(ring, {tuple(0 if k is None else exp[k] for k in pos): c
+                            for exp, c in poly.terms.items()})
 
 
 def proportionality_scalar(f: MultiPoly, g: MultiPoly, main_names):

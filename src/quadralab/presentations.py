@@ -31,7 +31,7 @@ from .freealg import (
     commutator,
     generators,
 )
-from .linalg import make_echelon
+from .linalg import SparseEchelon
 from .scalars import QI_I, QQi
 
 #: substitution x1,x2,x3,x4 -> z-basis: x1=z1+z2, x2=z0+z3, x3=z1-z2, x4=z0-z3
@@ -69,18 +69,14 @@ class RelationSpace:
         self.labels = labels
         self.row_names = list(row_names) if row_names else [f"r{k+1}" for k in range(6)]
         self.rows = [e.coefficient_vector(2) for e in self.elements]
-        ech = make_echelon(field)
+        ech = SparseEchelon(field)
         collapsed = []
         for name, row in zip(self.row_names, self.rows):
             if ech.insert(row) is None:
                 collapsed.append(name)
-        self._echelon = ech
+        self.echelon = ech
         if ech.rank < 6:
             raise DegeneratePresentation(ech.rank, collapsed, label)
-
-    @property
-    def echelon(self):
-        return self._echelon
 
     def contains(self, element_or_vector) -> bool:
         vec = element_or_vector
@@ -90,12 +86,11 @@ class RelationSpace:
             if vec.degree() != 2:
                 return False
             vec = vec.coefficient_vector(2)
-        return self._echelon.contains(vec)
+        return self.echelon.contains(vec)
 
     def spans_same(self, other: "RelationSpace") -> bool:
-        return all(self.contains(r) for r in other.rows) and all(
-            other.contains(r) for r in self.rows
-        )
+        # both spaces have rank 6 by construction, so one inclusion is enough
+        return all(self.contains(r) for r in other.rows)
 
     def transformed(self, matrix, label="", params=None, labels=None) -> "RelationSpace":
         """Apply a generator substitution to every relation."""
@@ -398,7 +393,6 @@ def scaled_basis_matches_sklyanin_form(a, b, c, d, field=QQi) -> bool:
     when the products are not squares.
     """
     from .extension import adjoin_square_root
-    from .freealg import FreeElement, apply_linear
 
     corr = chl_to_sklyanin_params(a, b, c, d, field)
     nu1, nu2, nu3 = corr.nu[0], -corr.nu[1], corr.nu[2]
@@ -619,7 +613,7 @@ def commutative_quotient_deg2(space: RelationSpace):
 
     Returns (dimension, pivot monomial pairs, echelon object).
     """
-    ech = make_echelon(space.field)
+    ech = SparseEchelon(space.field)
     for row in space.rows:
         ech.insert(symmetrize_row(row))
     pivots = [SYM_BASIS[c] for c in ech.pivots()]

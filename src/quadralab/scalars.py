@@ -176,7 +176,8 @@ class GaussianRational(FieldOps):
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, so as the int it may equal
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -415,6 +416,12 @@ class PrimeField:
 
 
 class PrimeFieldElement(FieldOps):
+    """A residue mod p, hashed as its representative in [0, p).
+
+    ``==`` with an int is congruence mod p, so no hash agrees with every
+    int an element equals: only the ints 0..p-1 hash alike.
+    """
+
     __slots__ = ("value", "field")
 
     def __init__(self, value: int, field: PrimeField):
@@ -469,7 +476,7 @@ class PrimeFieldElement(FieldOps):
         return self.value == o.value
 
     def __hash__(self):
-        return hash((self.field.p, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DegenerateParameters, PreconditionViolated
 from .extension import adjoin_fourth_root
-from .freealg import FreeElement, apply_linear, generators
+from .freealg import FreeElement, apply_linear
 from .geometry import ProjectivePoint
 from .linalg import (
     mat_inverse,

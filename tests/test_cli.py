@@ -183,6 +183,13 @@ class TestOtherCommands:
         assert code == 0
         assert "PASS A1" in out and "PASS A11" in out
 
+    def test_selftest_json_is_one_document(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--only", "A9", "--format", "json")
+        assert code == 0
+        [result] = json.loads(out)["results"]
+        assert result["name"] == "A9" and result["passed"]
+        assert result["seconds"] >= 0
+
     def test_malformed_scalar_is_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "hilbert", "--alpha", "2x", "--beta",
                                "3", "--gamma", "5")

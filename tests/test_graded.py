@@ -10,6 +10,8 @@ from quadralab.graded import GradedQuotient, degree_cap, verify_certificate
 from quadralab.presentations import chl_relations, sklyanin_relations
 from quadralab.scalars import gaussian
 
+from slice_oracle import ExactSlices
+
 
 @pytest.fixture(scope="module")
 def generic():
@@ -23,14 +25,13 @@ def sklyanin():
 
 class TestSliceRanks:
     def test_degree_two_is_the_relations(self, generic):
-        assert generic.exact.rank(2) == 6
+        assert ExactSlices(generic.space).rank(2) == 6
 
     def test_degree_three_generic(self, generic):
-        assert generic.exact.rank(3) == 48  # dim A_3 = 64 - 48 = 16
+        assert ExactSlices(generic.space).rank(3) == 48  # dim A_3 = 64 - 48 = 16
 
     def test_degree_three_polynomial_ring(self):
-        quotient = GradedQuotient(chl_relations(1, -1, 0, 0))
-        assert quotient.exact.rank(3) == 44  # dim 20 = C(6,3)
+        assert ExactSlices(chl_relations(1, -1, 0, 0)).rank(3) == 44  # dim 20 = C(6,3)
 
 
 class TestHilbert:
@@ -110,7 +111,7 @@ class TestDegreeCap:
     def test_env_override(self, generic, monkeypatch):
         monkeypatch.setenv("QUADRALAB_DEGREE_CAP", "3")
         with pytest.raises(DegreeCapExceeded):
-            generic.exact.slice(4)
+            generic.dimension(4)
         monkeypatch.delenv("QUADRALAB_DEGREE_CAP")
 
 
@@ -193,16 +194,6 @@ class TestCertificates:
         # a pure power is never in the ideal when alpha*beta*gamma != 0
         assert quotient.membership_certificate(h + FreeElement.from_word((0,) * n, one)) is None
 
-    def test_queries_leave_the_ideal_slices_unbuilt(self):
-        quotient = GradedQuotient(sklyanin_relations(2, 3, 5))
-        x = generators()
-        f = x[1] * x[0] * x[2]
-        quotient.contains(f)
-        quotient.normal_form(f)
-        quotient.is_central(x[0] * x[0])
-        quotient.membership_certificate(f - quotient.normal_form(f))
-        assert quotient.exact._cache == {}
-
 
 class TestFunctionField:
     @pytest.fixture(scope="class")
@@ -216,13 +207,13 @@ class TestFunctionField:
 
     def test_normal_form_differs_from_its_argument_by_a_member(self, symbolic):
         one = symbolic.space.field.one()
-        for col in symbolic.exact.slice(2).pivot_of:
+        for col in symbolic.space.echelon.pivot_of:
             f = from_vector({col: one}, 2)
             assert symbolic.contains(f - symbolic.normal_form(f))
 
     def test_reduce_returns_the_true_residual(self, symbolic):
         field = symbolic.space.field
-        ech = symbolic.exact.slice(2)
+        ech = symbolic.space.echelon
         for col in range(16):
             residual = ech.reduce({col: field.one()})
             assert not set(residual) & set(ech.pivot_of)

@@ -115,6 +115,16 @@ def test_equal_rational_functions_hash_equal(a, c):
 
 @pytest.mark.parametrize("kind", RINGS)
 @SEEDED
+@given(data=st.data(), k=st.integers(0, 12))
+def test_equal_to_an_int_hashes_as_it(kind, data, k):
+    a = data.draw(RINGS[kind])
+    for x in (a, a - a + k):
+        if x == k:
+            assert hash(x) == hash(k) and len({k, x}) == 1
+
+
+@pytest.mark.parametrize("kind", RINGS)
+@SEEDED
 @given(data=st.data())
 def test_assignment_raises(kind, data):
     a = data.draw(RINGS[kind])
