@@ -2,9 +2,11 @@
 
 Three scalar domains live here:
 
-* big rationals -- ``fractions.Fraction`` from the standard library, which
+* rationals -- ``fractions.Fraction`` from the standard library, which
   already maintains the gcd-reduced, positive-denominator normal form;
-* ``GaussianRational`` -- elements of Q(i), a pair of Fractions;
+* ``GaussianRational`` -- elements (x + y*i)/d of Q(i), a triple of Python
+  ints over one common denominator in the normal form d > 0,
+  gcd(x, y, d) = 1 (Cohen, GTM 138, section 4.2);
 * ``PrimeFieldElement`` -- residues mod a prime p = 1 (mod 4), used as the
   modular rank backend.  The congruence condition guarantees a square root
   of -1 exists mod p; the chosen root is fixed per field and reported.
@@ -23,6 +25,7 @@ through ``parse_scalar`` / ``str``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotInvertible, ScalarParseError
 
@@ -91,21 +94,36 @@ class FieldOps(RingOps):
 
 
 class GaussianRational(FieldOps):
-    """An element re + im*i of Q(i), with exact Fraction parts."""
+    """An element (x + y*i)/d of Q(i), held as three ints.
 
-    __slots__ = ("re", "im")
+    The triple is kept in its unique normal form, d > 0 and
+    gcd(x, y, d) = 1 (zero is (0, 0, 1)), so ``==`` compares ints and each
+    operation reduces its result with one gcd.  ``re`` and ``im`` give the
+    parts as exact Fractions.
+    """
+
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_x(self, re)
+            _set_y(self, im)
+            _set_d(self, 1)
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # both parts are in lowest terms, so the triple is already reduced
+        _set_x(self, re.numerator * (d // re.denominator))
+        _set_y(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
-    @classmethod
-    def _raw(cls, re, im):
-        # parts must already be Fractions; skips re-normalization in hot loops
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     @staticmethod
     def _lift(value):
@@ -126,7 +144,10 @@ class GaussianRational(FieldOps):
             other = GaussianRational._lift(other)
             if other is None:
                 return NotImplemented
-        return GaussianRational._raw(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.x + other.x, self.y + other.y, d)
+        return _reduced(self.x * e + other.x * d, self.y * e + other.y * d, d * e)
 
     __radd__ = __add__
 
@@ -135,37 +156,43 @@ class GaussianRational(FieldOps):
             other = GaussianRational._lift(other)
             if other is None:
                 return NotImplemented
-        return GaussianRational._raw(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.x - other.x, self.y - other.y, d)
+        return _reduced(self.x * e - other.x * d, self.y * e - other.y * d, d * e)
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
             other = GaussianRational._lift(other)
             if other is None:
                 return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational._raw(self.re * other.re, self.im)
-        return GaussianRational._raw(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.x, self.y, other.x, other.y
+        if not b:
+            return _reduced(a * c, a * e, self.d * other.d)
+        if not e:
+            return _reduced(a * c, b * c, self.d * other.d)
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
+        return _qi(-self.x, -self.y, self.d)
 
     def __pos__(self):
         return self
 
-    def norm(self):
+    def norm(self) -> Fraction:
         """re^2 + im^2; zero exactly when the element is zero."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
 
     def inverse(self):
-        n = self.norm()
-        if not n:
-            raise NotInvertible(self, "zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        x, y, d = self.x, self.y, self.d
+        if not y:
+            if not x:
+                raise NotInvertible(self, "zero in Q(i)")
+            # gcd(x, d) = 1, so d/x needs only its sign fixed
+            return _qi(d, 0, x) if x > 0 else _qi(-d, 0, -x)
+        return _reduced(d * x, -d * y, x * x + y * y)
 
     # -- comparisons / hashing ------------------------------------------
 
@@ -173,14 +200,16 @@ class GaussianRational(FieldOps):
         other = GaussianRational._lift(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.x == other.x and self.y == other.y and self.d == other.d
 
     def __hash__(self):
         # a real value hashes as its Fraction, so as the int it may equal
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        if self.y:
+            return hash((self.re, self.im))
+        return hash(self.x) if self.d == 1 else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.x != 0 or self.y != 0
 
     # -- formatting ------------------------------------------------------
 
@@ -189,6 +218,40 @@ class GaussianRational(FieldOps):
 
     def __repr__(self):
         return f"GaussianRational({self})"
+
+
+_new = object.__new__
+_set_x = GaussianRational.x.__set__
+_set_y = GaussianRational.y.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _qi(x, y, d):
+    """(x + y*i)/d from a triple already in normal form."""
+    z = _new(GaussianRational)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(x, y, d):
+    """(x + y*i)/d for d > 0, divided through by gcd(x, y, d).
+
+    Every ``+``, ``-`` and ``*`` ends here, so ``_qi`` is written out
+    inline rather than called.
+    """
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x //= g
+            y //= g
+            d //= g
+    z = _new(GaussianRational)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
 
 
 QI_ZERO = GaussianRational(0)
@@ -393,9 +456,11 @@ class PrimeField:
         if isinstance(value, Fraction):
             return self._from_fraction(value)
         if isinstance(value, GaussianRational):
-            re = self._from_fraction(value.re)
-            im = self._from_fraction(value.im)
-            return re + im * self.element(self.sqrt_minus_one)
+            # p | d exactly when p divides the denominator of re or im
+            if value.d % self.p == 0:
+                raise NotInvertible(value, f"denominator divisible by {self.p}")
+            num = value.x + value.y * self.sqrt_minus_one
+            return self.element(num * pow(value.d, -1, self.p))
         raise TypeError(f"cannot reduce {value!r} into F_{self.p}")
 
     def _from_fraction(self, q: Fraction) -> "PrimeFieldElement":
@@ -440,24 +505,24 @@ class PrimeFieldElement(FieldOps):
         return PrimeFieldElement(1, self.field)
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if isinstance(other, PrimeFieldElement) else self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.value + o.value, self.field)
+        return _fp((self.value + o.value) % self.field.p, self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = other if isinstance(other, PrimeFieldElement) else self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.value - o.value, self.field)
+        return _fp((self.value - o.value) % self.field.p, self.field)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = other if isinstance(other, PrimeFieldElement) else self._lift(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElement(self.value * o.value, self.field)
+        return _fp(self.value * o.value % self.field.p, self.field)
 
     __rmul__ = __mul__
 
@@ -486,6 +551,18 @@ class PrimeFieldElement(FieldOps):
 
     def __repr__(self):
         return f"F{self.field.p}({self.value})"
+
+
+_set_value = PrimeFieldElement.value.__set__
+_set_field = PrimeFieldElement.field.__set__
+
+
+def _fp(value, field):
+    """The residue ``value`` of ``field``, already in [0, p)."""
+    z = _new(PrimeFieldElement)
+    _set_value(z, value)
+    _set_field(z, field)
+    return z
 
 
 class RationalField:

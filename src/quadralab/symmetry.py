@@ -55,27 +55,46 @@ class LinearAutomorphism:
         except ValueError:
             raise DegenerateParameters(f"{label or 'map'} is singular") from None
 
+    @classmethod
+    def _invertible(cls, field, matrix, label, inverse_matrix=None):
+        """A map known to be invertible, such as a product of invertible maps.
+
+        It skips the singularity check; without ``inverse_matrix`` the
+        inverse is computed on first use.
+        """
+        out = cls.__new__(cls)
+        out.field = field
+        out.matrix = matrix
+        out.label = label
+        out._inverse_matrix = inverse_matrix
+        return out
+
+    def inverse_matrix(self):
+        if self._inverse_matrix is None:
+            self._inverse_matrix = mat_inverse(self.field, self.matrix)
+        return self._inverse_matrix
+
     def __call__(self, f: FreeElement) -> FreeElement:
         return apply_linear(self.matrix, f)
 
     def compose(self, other: "LinearAutomorphism") -> "LinearAutomorphism":
         """self after other."""
-        return LinearAutomorphism(
+        return LinearAutomorphism._invertible(
             self.field,
             mat_mul(self.matrix, other.matrix),
-            label=f"{self.label}*{other.label}",
+            f"{self.label}*{other.label}",
         )
 
     def inverse(self) -> "LinearAutomorphism":
-        return LinearAutomorphism(
-            self.field, self._inverse_matrix, label=f"{self.label}^-1"
+        return LinearAutomorphism._invertible(
+            self.field, self.inverse_matrix(), f"{self.label}^-1", self.matrix
         )
 
     def power(self, n: int) -> "LinearAutomorphism":
         if n < 0:
             return self.inverse().power(-n)
-        out = LinearAutomorphism(
-            self.field, identity_matrix(self.field), label="id"
+        out = LinearAutomorphism._invertible(
+            self.field, identity_matrix(self.field), "id", identity_matrix(self.field)
         )
         for _ in range(n):
             out = self.compose(out)
@@ -83,7 +102,7 @@ class LinearAutomorphism:
 
     def on_point(self, p: ProjectivePoint) -> ProjectivePoint:
         """Dual action: coordinates transform by the inverse transpose."""
-        mt = mat_transpose(self._inverse_matrix)
+        mt = mat_transpose(self.inverse_matrix())
         return ProjectivePoint(
             tuple(
                 sum_entries(mt[r], p) for r in range(4)
@@ -294,7 +313,7 @@ def heisenberg_checks(a, b, c, alphas=None, field=QQi) -> HeisenbergReport:
     for t in range(3):
         report.record(
             f"dual table {t+1} = psi{t+1}^-1",
-            mats_equal(stated[t], psis[t]._inverse_matrix),
+            mats_equal(stated[t], psis[t].inverse_matrix()),
         )
 
     # scalar criterion for the psi maps; lambdas listed as (l0, li, lj, lk)

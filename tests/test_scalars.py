@@ -121,3 +121,25 @@ class TestPrimeField:
         field = PrimeField(13)
         with pytest.raises(NotInvertible):
             field.coerce(Fraction(1, 13))
+
+    def test_p_dividing_only_the_imaginary_denominator_rejected(self):
+        field = PrimeField(13)
+        with pytest.raises(NotInvertible):
+            field.coerce(GaussianRational(Fraction(1, 2), Fraction(3, 26)))
+        # 13 divides only the imaginary numerator: that part vanishes mod 13
+        z = GaussianRational(Fraction(1, 2), Fraction(26, 3))
+        assert field.coerce(z) == field.coerce(Fraction(1, 2))
+
+    def test_element_operators_stay_reduced(self):
+        field = PrimeField(13)
+        for a in range(13):
+            for b in range(13):
+                x, y = field.element(a), field.element(b)
+                for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
+                    assert got.value == want % 13 and got.field is field
+        x = field.element(5)
+        assert (x + 9).value == 1 and (2 - x).value == 10 and (x * Fraction(1, 2)).value == 9
+        with pytest.raises(NotInvertible):
+            x + Fraction(1, 13)
+        with pytest.raises(TypeError):
+            x * 0.5

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadralab.errors import PreconditionViolated
+from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.freealg import generators
 from quadralab.geometry import ProjectivePoint, point_table
 from quadralab.linalg import identity_matrix, mats_equal, proportional_matrices
@@ -108,6 +108,23 @@ class TestGroupStructure:
         comm = (psis[0].compose(psis[1])
                 .compose(psis[0].inverse()).compose(psis[1].inverse()))
         assert comm.is_scalar() == QI_I
+
+    def test_composed_maps_invert_on_use(self, psis, table):
+        prod = psis[0].compose(psis[1])
+        ident = identity_matrix(QQi)
+        assert mats_equal(prod.inverse().compose(prod).matrix, ident)
+        assert mats_equal(prod.compose(prod.inverse()).matrix, ident)
+        for p in table.points():
+            step = psis[0].on_point(psis[1].on_point(p))
+            assert prod.on_point(p) == step
+            assert prod.inverse().on_point(step) == p
+        inv = psis[0].inverse()
+        assert mats_equal(psis[0].power(-2).matrix, inv.compose(inv).matrix)
+
+    def test_singular_matrix_refused(self):
+        with pytest.raises(DegenerateParameters, match="flat is singular"):
+            LinearAutomorphism(QQi, [
+                [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]], label="flat")
 
     def test_dual_tables_are_inverses(self, psis):
         stated = contragredient_table(2, 3, 5)
