@@ -10,7 +10,9 @@ sum c_ab mu_a(e) (x) x_b, and mu_a : A_{n-1} -> A_n, right multiplication
 by x_a, is known from the degree below.  Each degree eliminates 6*d_{n-2}
 rows against 4*d_{n-1} columns with the generic sparse echelon, over the
 relation space's own field (backend "exact") or over F_p for a prime
-p = 1 (mod 4) (backend "modular"; Python integers, so nothing overflows).
+p = 1 (mod 4) (backend "modular"; Python integers, so nothing overflows),
+back-substitutes once, and reads mu_a off the reduced pivot rows: a pivot
+column's class in A_n is minus the rest of its row.
 Pivots are lex-first and the lex order is multiplicative within a degree,
 so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
@@ -85,7 +87,9 @@ class QuotientTower:
 
     ``words[n]`` holds the lex ranks of the basis words of A_n, increasing;
     ``mu[n][j][i]`` is e_i * x_j as a sparse dict over the basis of A_n,
-    where e_i is the i-th basis element of A_{n-1}.
+    where e_i is the i-th basis element of A_{n-1}.  Degree n's echelon is
+    back-substituted once, so e_i * x_j on a pivot column is read off its
+    reduced row, with no reduction per column.
     """
 
     def __init__(self, field, rows):
@@ -121,6 +125,7 @@ class QuotientTower:
         ech = SparseEchelon(self.field)
         for _, row in self._image_rows(n):
             ech.insert(row)
+        ech.back_substitute()
         free = [c for c in range(NGENS * len(prev)) if c not in ech.pivot_of]
         index = {c: k for k, c in enumerate(free)}
         self.words.append([prev[c // NGENS] * NGENS + c % NGENS for c in free])
@@ -132,9 +137,9 @@ class QuotientTower:
                 if col in index:
                     mu[j].append({index[col]: one})
                 else:
-                    # the residual of a pivot column lies on free columns only
-                    residual = ech.reduce({col: one})
-                    mu[j].append({index[c]: v for c, v in residual.items()})
+                    # a reduced pivot row is its column minus its residual
+                    row = ech.rows[ech.pivot_of[col]]
+                    mu[j].append({index[c]: -v for c, v in row.items() if c != col})
         self.mu.append(mu)
 
     def _project(self, vec: dict, n: int) -> dict:

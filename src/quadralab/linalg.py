@@ -10,6 +10,10 @@ is therefore "lex-first", which makes normal forms canonical.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
 quotient tower, Macaulay slices and the 4x4 inverses all use it.
+``back_substitute`` brings an untracked echelon to reduced form in one
+pass (the quotient tower reads its multiplication maps off the reduced
+rows); it refuses a tracked echelon, whose certificate combos it would not
+update.
 """
 
 from __future__ import annotations
@@ -59,11 +63,12 @@ class SparseEchelon:
                 continue
             row = self.rows[ridx]
             del vec[col]
+            neg = -coeff
             for c, v in row.items():
                 if c == col:
                     continue
                 s = vec.get(c)
-                s = -coeff * v if s is None else s - coeff * v
+                s = neg * v if s is None else s + neg * v
                 if s:
                     vec[c] = s
                     if c not in seen:
@@ -73,7 +78,7 @@ class SparseEchelon:
             if combo is not None:
                 for k, v in self.combos[ridx].items():
                     s = combo.get(k)
-                    s = -coeff * v if s is None else s - coeff * v
+                    s = neg * v if s is None else s + neg * v
                     if s:
                         combo[k] = s
                     else:
@@ -113,6 +118,23 @@ class SparseEchelon:
         self.rows.append(row)
         self.pivot_of[col] = len(self.rows) - 1
         return col
+
+    def back_substitute(self):
+        """Bring the stored rows to reduced echelon form, in place.
+
+        Each row becomes its pivot plus the residual of the rest, so no row
+        keeps an entry on another row's pivot column and the residual of a
+        pivot column is minus the rest of its row.  Rows go in decreasing
+        pivot order, so each reduces against rows already reduced.  Refused
+        with tracking, whose combos it would not update.
+        """
+        if self.track:
+            raise ValueError("back-substitution does not update certificate combos")
+        for col in sorted(self.pivot_of, reverse=True):
+            ridx = self.pivot_of[col]
+            row = self.rows[ridx]
+            self.rows[ridx] = {col: row[col],
+                               **self._reduce({c: v for c, v in row.items() if c != col})}
 
 
 # ---------------------------------------------------------------------------
