@@ -34,7 +34,6 @@ from .presentations import (
 from .graded import GradedQuotient, HilbertProfile
 from .geometry import (
     ProjectivePoint,
-    gamma_graph,
     point_table,
     verify_gamma,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "GradedQuotient",
     "HilbertProfile",
     "ProjectivePoint",
-    "gamma_graph",
     "point_table",
     "verify_gamma",
     "ChlPsi",

@@ -35,7 +35,7 @@ from .presentations import (
     x_to_z_matrix,
 )
 from .freealg import apply_linear
-from .scalars import GaussianRational, QQi
+from .scalars import GaussianRational, QI_I, QI_ONE, QQi
 from .symmetry import ChlPsi
 
 
@@ -44,22 +44,22 @@ from .symmetry import ChlPsi
 # ---------------------------------------------------------------------------
 
 
-def sklyanin_central_pair(alpha, beta, gamma, field=QQi):
+def sklyanin_central_pair(alpha, beta, gamma):
     """The two central degree-2 elements of a nondegenerate A(alpha,beta,gamma).
 
     Requires alpha+beta+gamma+alpha*beta*gamma = 0 and parameters outside
-    {0, 1, -1}.  Returns (omega0, omega1) with
+    {0, 1, -1}, all in Q(i).  Returns (omega0, omega1) with
 
         omega0 = -x0^2 + x1^2 + x2^2 + x3^2
         omega1 =  x0^2 + beta*gamma*x1^2 - gamma*x2^2 + beta*x3^2
     """
-    al, be, ga = (field.coerce(v) for v in (alpha, beta, gamma))
+    al, be, ga = (QQi.coerce(v) for v in (alpha, beta, gamma))
     if al + be + ga + al * be * ga:
         raise PreconditionViolated("alpha+beta+gamma+alpha*beta*gamma != 0")
     for name, v in (("alpha", al), ("beta", be), ("gamma", ga)):
-        if not v or v == field.coerce(1) or v == field.coerce(-1):
+        if not v or v == 1 or v == -1:
             raise PreconditionViolated(f"{name} in {{0, 1, -1}}")
-    x = generators(field)
+    x = generators()
     sq = [g * g for g in x]
     omega0 = -sq[0] + sq[1] + sq[2] + sq[3]
     omega1 = sq[0] + sq[1].scale(be * ga) - sq[2].scale(ga) + sq[3].scale(be)
@@ -139,17 +139,13 @@ def chl_z2(a, b, c, d, field=QQi):
     return psi, z2
 
 
-def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
-    """Degree-3 membership check for Z2 over the base field.
+def z2_over_base(psi, z2):
+    """(q2 q3)^2 Z2, rewritten with base-field coefficients.
 
-    Z2 times (q2 q3)^2 has base-field coefficients (the fourth powers of
-    the roots collapse), and centrality is invariant under that unit
-    scaling, so the commutators are base-field elements.
+    The fourth powers of the roots collapse, so every coefficient is a
+    constant of the tower; centrality is invariant under that unit
+    scaling, so this element is central exactly when Z2 is.
     """
-    psi, z2 = chl_z2(a, b, c, d, field)
-    if quotient is None:
-        space = chl_z_relations(a, b, c, d, field=field, verify=False)
-        quotient = GradedQuotient(space)
     base = {}
     for w, v in z2.scale((psi.q2 * psi.q3) ** 2).terms.items():
         while isinstance(v, ExtensionElement):
@@ -157,7 +153,16 @@ def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
                 raise AssertionError("(q2 q3)^2 Z2 does not have base-field coefficients")
             v = v.constant_part()
         base[w] = v
-    return quotient.is_central(FreeElement(base))
+    return FreeElement(base)
+
+
+def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
+    """Degree-3 membership check for Z2 over the base field (``z2_over_base``)."""
+    psi, z2 = chl_z2(a, b, c, d, field)
+    if quotient is None:
+        space = chl_z_relations(a, b, c, d, field=field, verify=False)
+        quotient = GradedQuotient(space)
+    return quotient.is_central(z2_over_base(psi, z2))
 
 
 def chl_symbolic_central():
@@ -185,21 +190,18 @@ def _relation_elements(field, alphas):
     return x, cs, as_
 
 
-def squares_identity_report(field=None, alphas=None):
+def squares_identity_report():
     """The four identity families proving the squares central.
 
-    Over Q(i)[a1,a2,a3] (or any supplied coefficient field) and for every
-    cyclic (i,j,k), the stated combinations of {x_m, c_i} and [x_m, a_i]
-    collapse to (a1+a2+a3+a1*a2*a3) times a single commutator with a
-    square.  Returns {(family, i): residual-is-zero}.
+    Over Q(i)(a1,a2,a3) and for every cyclic (i,j,k), the stated
+    combinations of {x_m, c_i} and [x_m, a_i] collapse to
+    (a1+a2+a3+a1*a2*a3) times a single commutator with a square.
+    Returns {(family, i): residual-is-zero}.
     """
-    if field is None:
-        ring = PolyRing(("a1", "a2", "a3"))
-        field = FunctionField(ring)
-        alphas = field.gens()
-    a1, a2, a3 = alphas
+    field = FunctionField(PolyRing(("a1", "a2", "a3")))
+    a1, a2, a3 = field.gens()
     sigma_pi = a1 + a2 + a3 + a1 * a2 * a3
-    x, c, a = _relation_elements(field, alphas)
+    x, c, a = _relation_elements(field, (a1, a2, a3))
     al = {1: a1, 2: a2, 3: a3}
     one = field.one()
     report = {}
@@ -326,7 +328,7 @@ def chl_identity_report():
 # ---------------------------------------------------------------------------
 
 
-def uqsl2_generator_search(alpha, field=QQi):
+def uqsl2_generator_search(alpha):
     """Search degree-1 binomials Y+, Y-, K, K' satisfying the four relations
 
         K Y+ = -i Y+ K,   K Y- = +i Y- K,
@@ -334,20 +336,20 @@ def uqsl2_generator_search(alpha, field=QQi):
         [Y+, Y-] = i (K'^2 - K^2),
         [K, K'] = i alpha (Y+^2 - Y-^2)
 
-    in A(alpha, 1, -1), via degree-2 normal forms.  Candidates are all
+    in A(alpha, 1, -1) for alpha in Q(i), via degree-2 normal forms.
+    Candidates are all
     x_m + e*x_n with m < n and e in {1, -1, i, -i}; assignments with Y+
     projectively equal to K or K' (or Y- likewise) are reported separately
     as degenerate.  Returns (solutions, degenerate_hits) where a solution
     records the four chosen binomials by (m, n, e) triples.
     """
-    al = field.coerce(alpha)
-    if not al or al == field.coerce(1) or al == field.coerce(-1):
+    al = QQi.coerce(alpha)
+    if not al or al == 1 or al == -1:
         raise PreconditionViolated("alpha must avoid {0, 1, -1}")
-    space = sklyanin_relations(al, field.coerce(1), field.coerce(-1), field=field)
-    quotient = GradedQuotient(space)
-    i = field.coerce(GaussianRational(0, 1))
-    x = generators(field)
-    units = (field.coerce(1), field.coerce(-1), i, -i)
+    quotient = GradedQuotient(sklyanin_relations(al, 1, -1))
+    i = QI_I
+    x = generators()
+    units = (QI_ONE, -QI_ONE, i, -i)
     candidates = []
     for m in range(4):
         for n in range(m + 1, 4):
@@ -398,15 +400,12 @@ def uqsl2_generator_search(alpha, field=QQi):
     return solutions, degenerate
 
 
-def literal_assignment_fails(alpha, field=QQi) -> bool:
+def literal_assignment_fails(alpha) -> bool:
     """The assignment Y+ = K = x0+x1, Y- = K' = x0-x1 is degenerate and
-    fails the braiding relation K Y+ = -i Y+ K in A(alpha, 1, -1)."""
-    al = field.coerce(alpha)
-    space = sklyanin_relations(al, field.coerce(1), field.coerce(-1), field=field)
-    quotient = GradedQuotient(space)
-    i = field.coerce(GaussianRational(0, 1))
-    x = generators(field)
+    fails the braiding relation K Y+ = -i Y+ K in A(alpha, 1, -1), alpha in Q(i)."""
+    quotient = GradedQuotient(sklyanin_relations(alpha, 1, -1))
+    x = generators()
     yp = x[0] + x[1]
     k = x[0] + x[1]
-    rel = k * yp + (yp * k).scale(i)
+    rel = k * yp + (yp * k).scale(QI_I)
     return not quotient.contains(rel)

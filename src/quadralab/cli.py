@@ -25,11 +25,10 @@ from .center import (
     chl_identity_report,
     chl_symbolic_central,
     chl_z1,
-    chl_z1_central,
     chl_z2,
-    chl_z2_central,
     sklyanin_central_pair,
     squares_identity_report,
+    z2_over_base,
 )
 from .presentations import (
     angle_invariant,
@@ -88,7 +87,7 @@ def _print_table(payload, indent=0):
 
 
 def _tuple_option(text, n, name):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != n:
         raise InvalidInput(f"--{name} needs {n} comma-separated scalars")
     return tuple(parse_scalar(p.strip()) for p in parts)
@@ -175,12 +174,11 @@ def cmd_verify_gamma(args):
 
 def cmd_minors(args):
     if args.alpha is None:
-        report = minor_factorization_report(symbolic=True)
+        report = minor_factorization_report()
         params = {"alpha": "symbolic", "beta": "symbolic", "gamma": "symbolic"}
     else:
         alpha, beta, gamma = _alpha_params(args)
-        report = minor_factorization_report(symbolic=False, alpha=alpha,
-                                            beta=beta, gamma=gamma)
+        report = minor_factorization_report(alpha, beta, gamma)
         params = {"alpha": alpha, "beta": beta, "gamma": gamma}
     payload = _base_payload(args, **params)
     payload["factorizations"] = {
@@ -245,35 +243,32 @@ def cmd_chl(args):
         })
         _emit(payload, args.format)
         return 0
-    if args.chl_action == "center":
-        x_form, z_form = chl_z1(a, b, c, d)
-        quotient = GradedQuotient(chl_z_relations(a, b, c, d, verify=False))
-        ok1, fail1 = chl_z1_central(a, b, c, d, quotient=quotient)
-        payload["Z1_x_basis"] = x_form.render(("x1", "x2", "x3", "x4"))
-        payload["Z1_z_basis"] = z_form.render(("z0", "z1", "z2", "z3"))
-        payload["Z1_central"] = ok1
-        try:
-            _, z2 = chl_z2(a, b, c, d)
-            ok2, fail2 = chl_z2_central(a, b, c, d, quotient=quotient)
-            payload["Z2_z_basis"] = z2.render(("z0", "z1", "z2", "z3"))
-            payload["Z2_central"] = ok2
-        except QuadralabError as exc:
-            payload["Z2_central"] = None
-            payload["Z2_note"] = str(exc)
-            ok2 = True
-        sym = (True, True)
-        if getattr(args, "symbolic", False):
-            # Z1 and Z2 certified over the rational function field in a,b,c,d
-            sym = chl_symbolic_central()
-            payload["symbolic"] = {"Z1_central": sym[0], "Z2_central": sym[1]}
-        _emit(payload, args.format)
-        return 0 if ok1 and ok2 and all(sym) else 1
-    raise InvalidInput(f"unknown chl action {args.chl_action!r}")
+    # center: the rendered Z1 and Z2 themselves are checked, on one quotient
+    x_form, z_form = chl_z1(a, b, c, d)
+    quotient = GradedQuotient(chl_z_relations(a, b, c, d, verify=False))
+    ok1, _ = quotient.is_central(z_form)
+    payload["Z1_x_basis"] = x_form.render(("x1", "x2", "x3", "x4"))
+    payload["Z1_z_basis"] = z_form.render(("z0", "z1", "z2", "z3"))
+    payload["Z1_central"] = ok1
+    try:
+        psi, z2 = chl_z2(a, b, c, d)
+        ok2, _ = quotient.is_central(z2_over_base(psi, z2))
+        payload["Z2_z_basis"] = z2.render(("z0", "z1", "z2", "z3"))
+        payload["Z2_central"] = ok2
+    except QuadralabError as exc:
+        payload["Z2_central"] = None
+        payload["Z2_note"] = str(exc)
+        ok2 = True
+    sym = (True, True)
+    if args.symbolic:
+        # Z1 and Z2 certified over the rational function field in a,b,c,d
+        sym = chl_symbolic_central()
+        payload["symbolic"] = {"Z1_central": sym[0], "Z2_central": sym[1]}
+    _emit(payload, args.format)
+    return 0 if ok1 and ok2 and all(sym) else 1
 
 
 def cmd_center(args):
-    if args.abcd:
-        return cmd_chl_center_alias(args)
     alpha, beta, gamma = _alpha_params(args)
     quotient = GradedQuotient(sklyanin_relations(alpha, beta, gamma))
     payload = _base_payload(args, alpha=alpha, beta=beta, gamma=gamma)
@@ -293,11 +288,6 @@ def cmd_center(args):
         payload["pair_central"] = {"note": str(exc)}
     _emit(payload, args.format)
     return 0
-
-
-def cmd_chl_center_alias(args):
-    args.chl_action = "center"
-    return cmd_chl(args)
 
 
 def cmd_identities(args):
@@ -397,10 +387,8 @@ def build_parser():
     common(p, abc=True)
     p.set_defaults(fn=cmd_autos)
 
-    p = sub.add_parser("center", help="central elements of A (or R with --abcd)")
-    common(p, alpha=True, abcd=True)
-    p.add_argument("--symbolic", action="store_true",
-                   help="with --abcd: also certify Z1/Z2 over the function field")
+    p = sub.add_parser("center", help="central elements of A(alpha,beta,gamma)")
+    common(p, alpha=True)
     p.set_defaults(fn=cmd_center)
 
     p = sub.add_parser("chl", help="the R(a,b,c,d) family")

@@ -25,7 +25,7 @@ from .poly import (
     proportionality_scalar,
 )
 from .presentations import sklyanin_relations
-from .scalars import QI_I, QI_ONE, QQi
+from .scalars import QI_I, QI_ONE, QI_ZERO, QQi
 
 X_VARS = ("x0", "x1", "x2", "x3")
 PARAM_VARS = ("alpha", "beta", "gamma")
@@ -39,20 +39,10 @@ def symbolic_ring() -> PolyRing:
     return PolyRing(PARAM_VARS + X_VARS)
 
 
-def _coerce_params(ring, alpha, beta, gamma):
-    out = []
-    for v in (alpha, beta, gamma):
-        if isinstance(v, MultiPoly):
-            out.append(ring.coerce(v))
-        else:
-            out.append(ring.constant(QQi.coerce(v)))
-    return out
-
-
 def matrix_m(alpha, beta, gamma, ring=None):
     """The 6x4 matrix of linear forms with M x^T = 0 in the algebra."""
     ring = ring or x_ring()
-    al, be, ga = _coerce_params(ring, alpha, beta, gamma)
+    al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
     return [
         [-x1, x0, -al * x3, -al * x2],
@@ -67,7 +57,7 @@ def matrix_m(alpha, beta, gamma, ring=None):
 def matrix_m_prime(alpha, beta, gamma, ring=None):
     """The 4x6 matrix of linear forms with x M' = 0 in the algebra."""
     ring = ring or x_ring()
-    al, be, ga = _coerce_params(ring, alpha, beta, gamma)
+    al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
     return [
         [-x1, -x2, -x3, -x3, -x1, -x2],
@@ -161,7 +151,7 @@ def minor_g(mp_matrix, i: int, j: int) -> MultiPoly:
 def quadrics(alpha, beta, gamma, ring=None):
     """The four quadrics q, q1, q2, q3 attached to the parameters."""
     ring = ring or x_ring()
-    al, be, ga = _coerce_params(ring, alpha, beta, gamma)
+    al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
     sq = [x0 * x0, x1 * x1, x2 * x2, x3 * x3]
     q = sq[0] + sq[1] + sq[2] + sq[3]
@@ -227,7 +217,7 @@ def _coeff_from_tag(tag, al, be, ga, ring):
 
 def stated_minor_form(pair, alpha, beta, gamma, ring):
     """The claimed factored expression for the minor at the given pair."""
-    al, be, ga = _coerce_params(ring, alpha, beta, gamma)
+    al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     q, q1, q2, q3 = quadrics(alpha, beta, gamma, ring)
     qs = {"q": q, "q1": q1, "q2": q2, "q3": q3}
     x = {v: ring.gen(v) for v in X_VARS}
@@ -253,7 +243,7 @@ def stated_minor_form(pair, alpha, beta, gamma, ring):
 
 def stated_minor_q_form(pair, alpha, beta, gamma, ring):
     """The alternative quadric-combination form for the three square minors."""
-    al, be, ga = _coerce_params(ring, alpha, beta, gamma)
+    al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     q, q1, q2, q3 = quadrics(alpha, beta, gamma, ring)
     x = {v: ring.gen(v) for v in X_VARS}
     sq = {v: x[v] * x[v] for v in X_VARS}
@@ -266,15 +256,17 @@ def stated_minor_q_form(pair, alpha, beta, gamma, ring):
     raise KeyError(pair)
 
 
-def minor_factorization_report(symbolic=True, alpha=None, beta=None, gamma=None):
+def minor_factorization_report(alpha=None, beta=None, gamma=None):
     """Verify all fifteen stated minor factorizations up to nonzero scalars.
 
-    With symbolic=True the check runs over Q(i)[alpha,beta,gamma,x0..x3];
-    the report lists the computed proportionality scalar for each pair,
-    the agreement of the two stated forms for the three square-type
-    minors, and the mirror identity g_ij(x) ~ h_ij(-x0,x1,x2,x3).
+    With no parameters the check runs over Q(i)[alpha,beta,gamma,x0..x3],
+    so it holds for every parameter value; with all three given it runs
+    over Q(i)[x0..x3] at that point.  The report lists the computed
+    proportionality scalar for each pair, the agreement of the two stated
+    forms for the three square-type minors, and the mirror identity
+    g_ij(x) ~ h_ij(-x0,x1,x2,x3).
     """
-    if symbolic:
+    if alpha is None and beta is None and gamma is None:
         ring = symbolic_ring()
         al, be, ga = (ring.gen(v) for v in PARAM_VARS)
     else:
@@ -458,16 +450,6 @@ def point_table(a, b, c) -> PointTable:
     return PointTable(a, b, c)
 
 
-def theta(a, b, c, p: ProjectivePoint) -> ProjectivePoint:
-    """The bijection attached to the roots (a, b, c), at a table point."""
-    return point_table(a, b, c).theta(p)
-
-
-def gamma_graph(a, b, c):
-    """The twenty pairs (p, theta(p)) for the given square roots."""
-    return point_table(a, b, c).graph()
-
-
 def evaluate_bilinear(row: dict, p: ProjectivePoint, pp: ProjectivePoint):
     """Value of a degree-2 coefficient row as a (1,1)-form at (p, p')."""
     total = QQi.zero()
@@ -625,11 +607,11 @@ def sigma_point(p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(tuple(c[src] * sgn for src, sgn in SIGMA_IMAGES))
 
 
-def sigma_matrix(field=QQi):
-    one, zero = field.one(), field.zero()
-    m = [[zero] * 4 for _ in range(4)]
+def sigma_matrix():
+    """The matrix of the order-4 coordinate map over Q(i)."""
+    m = [[QI_ZERO] * 4 for _ in range(4)]
     for dst, (src, sgn) in enumerate(SIGMA_IMAGES):
-        m[dst][src] = one if sgn > 0 else -one
+        m[dst][src] = QI_ONE if sgn > 0 else -QI_ONE
     return m
 
 
@@ -649,7 +631,7 @@ class CurveContext:
             self.ring = x_ring()
         r = self.ring
         x0, x1, x2, x3 = (r.gen(v) for v in X_VARS)
-        al = r.coerce(self.alpha) if self.symbolic else r.constant(self.alpha)
+        al = r.coerce(self.alpha)
         self.f1 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
         self.f2 = x0 * x0 - x1 * x1 + al * (x2 * x2) - al * (x3 * x3)
 
@@ -659,24 +641,23 @@ class CurveContext:
         return not p.evaluate(self.f1) and not p.evaluate(self.f2)
 
 
-def curve_relations_certificate(symbolic=True, alpha=None):
+def curve_relations_certificate(alpha=None):
     """Each entry of M . sigma(x)^T lies in the ideal of the two curve quadrics.
 
+    With alpha omitted it is a variable of the coordinate ring, so the
+    certificates hold for every alpha; otherwise alpha is a Q(i) value.
     The product is computed in the commutative coordinate ring; membership
-    of each (degree-2) entry is certified by slice membership with degree
-    bound 4.  Returns the list of certificates, one per matrix row.
+    of each (degree-2) entry in x0..x3 is certified by slice membership
+    with degree bound 4.  Returns the list of certificates, one per matrix
+    row.
     """
-    if symbolic:
+    if alpha is None:
         ring = PolyRing(("alpha",) + X_VARS)
-        al = ring.gen("alpha")
-        main = X_VARS
+        alpha = ring.gen("alpha")
     else:
         ring = x_ring()
-        al = QQi.coerce(alpha)
-        main = None
-    one = ring.one()
-    curve = CurveContext(al if symbolic else al)
-    m = matrix_m(al, one if symbolic else QI_ONE, -one if symbolic else -QI_ONE, ring)
+    curve = CurveContext(alpha)
+    m = matrix_m(alpha, 1, -1, ring)
     x = [ring.gen(v) for v in X_VARS]
     sigma_x = [x[src] if sgn > 0 else -x[src] for src, sgn in SIGMA_IMAGES]
     gens = [curve.f1, curve.f2]
@@ -685,7 +666,7 @@ def curve_relations_certificate(symbolic=True, alpha=None):
         entry = ring.zero()
         for e, s in zip(row, sigma_x):
             entry = entry + e * s
-        ok, cert = ideal_slice_membership(entry, gens, 4, main_names=main)
+        ok, cert = ideal_slice_membership(entry, gens, 4, main_names=X_VARS)
         if not ok:
             raise AssertionError("matrix-times-sigma entry is outside the curve ideal")
         certificates.append(cert)

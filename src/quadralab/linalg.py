@@ -176,13 +176,15 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def identity_matrix(field, n=4):
-    return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+def identity_matrix(field):
+    """The 4x4 identity over field."""
+    return scalar_matrix(field, field.one())
 
 
-def scalar_matrix(field, c, n=4):
+def scalar_matrix(field, c):
+    """c times the 4x4 identity over field."""
     c = field.coerce(c)
-    return [[c if i == j else field.zero() for j in range(n)] for i in range(n)]
+    return [[c if i == j else field.zero() for j in range(4)] for i in range(4)]
 
 
 def mats_equal(a, b) -> bool:

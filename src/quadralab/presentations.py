@@ -92,14 +92,14 @@ class RelationSpace:
         # both spaces have rank 6 by construction, so one inclusion is enough
         return all(self.contains(r) for r in other.rows)
 
-    def transformed(self, matrix, label="", params=None, labels=None) -> "RelationSpace":
-        """Apply a generator substitution to every relation."""
+    def transformed(self, matrix, label="", labels=None) -> "RelationSpace":
+        """Apply a generator substitution to every relation; params are kept."""
         images = [apply_linear(matrix, e) for e in self.elements]
         return RelationSpace(
             self.field,
             images,
             label=label or f"{self.label}<transformed>",
-            params=params if params is not None else self.params,
+            params=self.params,
             labels=labels or self.labels,
             row_names=self.row_names,
         )
@@ -352,15 +352,15 @@ class SklyaninCorrespondence:
         return al + be + ga + al * be * ga
 
 
-def chl_to_sklyanin_params(a, b, c, d, field=QQi) -> SklyaninCorrespondence:
-    """Map a generic quadric point (a,b,c,d) to its (alpha,beta,gamma).
+def chl_to_sklyanin_params(a, b, c, d) -> SklyaninCorrespondence:
+    """Map a generic quadric point (a,b,c,d) of Q(i)^4 to its (alpha,beta,gamma).
 
     alpha = (r^2-p^2)/(q^2-s^2), beta = (p^2-s^2)/(r^2-q^2), gamma = cd/ab,
     with p=a+b, q=a-b, r=c+d, s=c-d, plus the scaling data mu_i, nu_i.
     See ``SklyaninCorrespondence.beta_presented`` for the sign caveat on
     the second parameter.
     """
-    a, b, c, d = (field.coerce(v) for v in (a, b, c, d))
+    a, b, c, d = (QQi.coerce(v) for v in (a, b, c, d))
     params = CHLParams(a, b, c, d)
     if not params.on_quadric:
         raise PreconditionViolated(f"ac+bd = {params.quadric_value} != 0")
@@ -380,10 +380,11 @@ def chl_to_sklyanin_params(a, b, c, d, field=QQi) -> SklyaninCorrespondence:
     return SklyaninCorrespondence(alpha, beta, gamma, mu, nu, (p, q, r, s))
 
 
-def scaled_basis_matches_sklyanin_form(a, b, c, d, field=QQi) -> bool:
+def scaled_basis_matches_sklyanin_form(a, b, c, d) -> bool:
     """Rewrite the z-relations in the nu-scaled basis and compare row spaces.
 
-    The relation rows give {z0,zi} = nu_i'[zj,zk] with nu_2' equal to
+    For a generic quadric point (a,b,c,d) of Q(i)^4, the relation rows
+    give {z0,zi} = nu_i'[zj,zk] with nu_2' equal to
     MINUS the quoted (q+r)/(p+s) ratio (and nu_1', nu_3' equal to the
     quoted values); the scaled basis therefore uses the row-derived
     values.  With v0 = z0, vi = s_i z_i for square roots
@@ -394,14 +395,14 @@ def scaled_basis_matches_sklyanin_form(a, b, c, d, field=QQi) -> bool:
     """
     from .extension import adjoin_square_root
 
-    corr = chl_to_sklyanin_params(a, b, c, d, field)
+    corr = chl_to_sklyanin_params(a, b, c, d)
     nu1, nu2, nu3 = corr.nu[0], -corr.nu[1], corr.nu[2]
-    tower = adjoin_square_root(field, "s1", nu2 * nu3)
+    tower = adjoin_square_root(QQi, "s1", nu2 * nu3)
     tower = adjoin_square_root(tower, "s2", nu3 * nu1)
     s1 = tower.coerce(tower.base.root())
     s2 = tower.root()
     s3 = s1 * s2 / tower.coerce(nu3)
-    z_space = chl_z_relations(a, b, c, d, field=field, verify=False)
+    z_space = chl_z_relations(a, b, c, d, verify=False)
     lifted = [
         FreeElement({w: tower.coerce(v) for w, v in e.terms.items()})
         for e in z_space.elements
@@ -458,20 +459,21 @@ class Classification:
         return self.locus in ("l1", "l2")
 
 
-def classify_chl(a, b, c, d, field=QQi) -> Classification:
-    a, b, c, d = (field.coerce(v) for v in (a, b, c, d))
+def classify_chl(a, b, c, d) -> Classification:
+    """Place a Q(i) point (a,b,c,d) on the quadric, the lines l1/l2, or neither."""
+    a, b, c, d = (QQi.coerce(v) for v in (a, b, c, d))
     params = CHLParams(a, b, c, d)
     if not params.on_quadric:
         return Classification(
             "off-quadric", diagnostics={"ac+bd": params.quadric_value}
         )
-    i = field.coerce(QI_I)
+    i = QI_I
     on_l1 = not (a + i * d) and not (c + i * b)
     on_l2 = not (a - i * d) and not (c - i * b)
     vanishing = tuple(params.vanishing_factors())
     corr = None
     if not vanishing:
-        corr = chl_to_sklyanin_params(a, b, c, d, field)
+        corr = chl_to_sklyanin_params(a, b, c, d)
     if on_l1 or on_l2:
         locus = "l1" if on_l1 else "l2"
         u = b + d + i * b - i * d

@@ -29,7 +29,7 @@ from .geometry import (
     verify_gamma,
 )
 from .graded import GradedQuotient
-from .linalg import mats_equal, identity_matrix, proportional_matrices
+from .linalg import identity_matrix, proportional_matrices
 from .poly import FunctionField, PolyRing
 from .presentations import (
     EXCLUDED_L1,
@@ -44,7 +44,7 @@ from .scalars import QI_I, QQi, gaussian
 from .symmetry import (
     ChlPsi,
     LinearAutomorphism,
-    gamma_maps,
+    heisenberg_checks,
     orbits,
     point_action_is_faithful,
     preserves_relations,
@@ -101,7 +101,7 @@ def a3_point_scheme():
 
 
 def a4_minor_factorizations():
-    report = minor_factorization_report(symbolic=True)
+    report = minor_factorization_report()
     ring = PolyRing(("alpha", "beta", "gamma"))
     al, be, ga = ring.gens()
     sp = al + be + ga + al * be * ga
@@ -145,33 +145,10 @@ def a7_automorphisms():
     pres = all(preserves_relations(p, space) for p in psis)
     details.append(f"preserve {pres}")
 
-    i = QI_I
-    braid = True
-    for u, v in ((0, 1), (1, 2), (2, 0)):
-        lhs = psis[u].compose(psis[v])
-        rhs = psis[v].compose(psis[u])
-        scaled = [[i * x for x in row] for row in rhs.matrix]
-        braid = braid and mats_equal(lhs.matrix, scaled)
-    details.append(f"braiding {braid}")
-
-    # psi1^2 is -i*b*c = -15i times the first sign involution (the
-    # coefficient is the product of the last two roots, not all three)
-    g1 = gamma_maps()[0]
-    sq = psis[0].compose(psis[0])
-    scal = proportional_matrices(QQi, sq.matrix, g1.matrix)
-    sq_ok = scal == gaussian(0, -15)
-    details.append(f"psi1^2 scalar {scal}")
-
-    nu_sq = [gaussian(0, -30) / gaussian(r) for r in (2, 3, 5)]
-    quads = all(
-        mats_equal(
-            psis[t].power(4).matrix,
-            [[(nu_sq[t] * nu_sq[t]) if r == c else QQi.zero() for c in range(4)]
-             for r in range(4)],
-        )
-        for t in range(3)
-    )
-    details.append(f"epsilon^4 {quads}")
+    # braiding, psi_i^2 as a scalar times gamma_i, epsilon_i^4 = id and more
+    group = heisenberg_checks(2, 3, 5)
+    group_ok = group.all_pass()
+    details.append(f"{len(group.checks)} group relations {group_ok}")
 
     table = point_table(2, 3, 5)
     non_coord = [p for label in ("0", "1", "2", "3") for p in table.strata[label]]
@@ -188,7 +165,7 @@ def a7_automorphisms():
     res = psi.verify()
     chl_ok = all(res.values())
     details.append(f"chl psi symbolic {chl_ok}")
-    return pres and braid and sq_ok and quads and orbit_ok and faithful and chl_ok, ", ".join(details)
+    return pres and group_ok and orbit_ok and faithful and chl_ok, ", ".join(details)
 
 
 def a8_iso_invariants():
@@ -254,7 +231,7 @@ def a9_chl_correspondence():
 
 
 def a10_elliptic_data():
-    certs = curve_relations_certificate(symbolic=True)
+    certs = curve_relations_certificate()
     symbolic_ok = len(certs) == 6
     curve = CurveContext(Fraction(-1, 4))
     p = ProjectivePoint((1, QI_I, 2, gaussian(0, 2)))

@@ -36,7 +36,7 @@ from .presentations import (
     chl_z_coefficients,
     chl_z_relations,
 )
-from .scalars import QI_I, QQi
+from .scalars import QI_I, QI_ONE, QI_ZERO, QQi
 
 
 class LinearAutomorphism:
@@ -155,30 +155,30 @@ def psi_maps(a, b, c, field=QQi):
     return tuple(out)
 
 
-def gamma_maps(field=QQi):
-    """The three diagonal sign involutions."""
-    one = field.one()
-    zero = field.zero()
+def gamma_maps():
+    """The three diagonal sign involutions, over Q(i)."""
+    one = QI_ONE
+    zero = QI_ZERO
     signs = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
     out = []
     for idx, pattern in signs.items():
         m = [[(one if s > 0 else -one) if r == col else zero for col in range(4)]
              for r, s in zip(range(4), pattern)]
-        out.append(LinearAutomorphism(field, m, label=f"gamma{idx}"))
+        out.append(LinearAutomorphism(QQi, m, label=f"gamma{idx}"))
     return tuple(out)
 
 
-def contragredient_table(a, b, c, field=QQi):
-    """The dual-basis substitution matrices for psi_1..psi_3.
+def contragredient_table(a, b, c):
+    """The dual-basis substitution matrices for psi_1..psi_3, roots in Q(i).
 
     These coincide exactly with the inverses of the psi matrices, which
     is verified by heisenberg_checks.  (The x1* entry of the third row is
     -b^-1 x2*: an extra factor of i sometimes quoted there fails even up
     to overall scalar.)
     """
-    a, b, c = (field.coerce(v) for v in (a, b, c))
-    i = field.coerce(QI_I)
-    zero = field.zero()
+    a, b, c = (QQi.coerce(v) for v in (a, b, c))
+    i = QI_I
+    zero = QI_ZERO
     tables = []
     specs = [
         # psi1*: x0*->i x1*, x1*->(bc)^-1 x0*, x2*->-c^-1 x3*, x3*->i b^-1 x2*
@@ -207,33 +207,33 @@ def preserves_relations(phi: LinearAutomorphism, space: RelationSpace) -> bool:
     return space.transformed(phi.matrix).spans_same(space)
 
 
-def permutation_type_map(lambdas, cyclic, field=QQi) -> LinearAutomorphism:
-    """x0 -> l0 xi, xi -> li x0, xj -> lj xk, xk -> lk xj."""
-    l0, li, lj, lk = (field.coerce(v) for v in lambdas)
+def permutation_type_map(lambdas, cyclic) -> LinearAutomorphism:
+    """x0 -> l0 xi, xi -> li x0, xj -> lj xk, xk -> lk xj, scalars in Q(i)."""
+    l0, li, lj, lk = (QQi.coerce(v) for v in lambdas)
     i, j, k = cyclic
-    zero = field.zero()
+    zero = QI_ZERO
     m = [[zero] * 4 for _ in range(4)]
     m[i][0] = l0
     m[0][i] = li
     m[k][j] = lj
     m[j][k] = lk
-    return LinearAutomorphism(field, m, label="perm-type")
+    return LinearAutomorphism(QQi, m, label="perm-type")
 
 
-def sklyanin_criterion(lambdas, alphas, cyclic=(1, 2, 3), field=QQi) -> bool:
+def sklyanin_criterion(lambdas, alphas, cyclic=(1, 2, 3)) -> bool:
     """The three scalar conditions for a permute-and-scale map to extend.
 
     l0*li/(lj*lk) = -1, l0*lj/(lk*li) = -alpha_j, l0*lk/(li*lj) = alpha_k,
-    with indices read along the cyclic triple.
+    with indices read along the cyclic triple; all scalars are in Q(i).
     """
-    l0, li, lj, lk = (field.coerce(v) for v in lambdas)
+    l0, li, lj, lk = (QQi.coerce(v) for v in lambdas)
     if not (l0 and li and lj and lk):
         raise DegenerateParameters("all four scalars must be nonzero")
     i, j, k = cyclic
-    alpha = {1: field.coerce(alphas[0]), 2: field.coerce(alphas[1]),
-             3: field.coerce(alphas[2])}
+    alpha = {1: QQi.coerce(alphas[0]), 2: QQi.coerce(alphas[1]),
+             3: QQi.coerce(alphas[2])}
     return (
-        l0 * li / (lj * lk) == field.coerce(-1)
+        l0 * li / (lj * lk) == -QI_ONE
         and l0 * lj / (lk * li) == -alpha[j]
         and l0 * lk / (li * lj) == alpha[k]
     )
@@ -258,24 +258,24 @@ class HeisenbergReport:
         return dict(self.checks)
 
 
-def heisenberg_checks(a, b, c, alphas=None, field=QQi) -> HeisenbergReport:
+def heisenberg_checks(a, b, c) -> HeisenbergReport:
     """Verify the stated group relations among the generator maps.
 
-    With alphas omitted they default to (a^2, b^2, c^2).  Checks:
-    psi_i psi_{i+1} = i psi_{i+1} psi_i; psi_i^2 equals the stated scalar
-    times the matching sign involution; the fourth powers of the
-    normalized maps are the identity (computed through nu_i^4, no root
-    adjunction needed); the sign involutions compose as a Klein
-    four-group; the stated dual-basis matrices are the inverses of the
-    psi matrices; and each psi satisfies the scalar criterion.
+    The square roots (a, b, c) are in Q(i) and the parameters are
+    (a^2, b^2, c^2).  Checks: psi_i psi_{i+1} = i psi_{i+1} psi_i;
+    psi_i^2 equals the stated scalar times the matching sign involution;
+    the fourth powers of the normalized maps are the identity (computed
+    through nu_i^4, no root adjunction needed); the sign involutions
+    compose as a Klein four-group; the stated dual-basis matrices are the
+    inverses of the psi matrices; and each psi satisfies the scalar
+    criterion.
     """
-    a, b, c = (field.coerce(v) for v in (a, b, c))
-    if alphas is None:
-        alphas = (a * a, b * b, c * c)
+    a, b, c = (QQi.coerce(v) for v in (a, b, c))
+    alphas = (a * a, b * b, c * c)
     report = HeisenbergReport()
-    psis = psi_maps(a, b, c, field)
-    gammas = gamma_maps(field)
-    i = field.coerce(QI_I)
+    psis = psi_maps(a, b, c)
+    gammas = gamma_maps()
+    i = QI_I
 
     # braiding: psi1 psi2 = i psi2 psi1 and cyclic variants
     for (u, v) in ((0, 1), (1, 2), (2, 0)):
@@ -296,7 +296,7 @@ def heisenberg_checks(a, b, c, alphas=None, field=QQi) -> HeisenbergReport:
     nu_sq = ((-i) * a * b * c / a, (-i) * a * b * c / b, (-i) * a * b * c / c)
     for t in range(3):
         p4 = psis[t].power(4)
-        target = scalar_matrix(field, nu_sq[t] * nu_sq[t])
+        target = scalar_matrix(QQi, nu_sq[t] * nu_sq[t])
         report.record(f"epsilon{t+1}^4 = identity", mats_equal(p4.matrix, target))
 
     # Klein four-group of sign involutions
@@ -305,11 +305,11 @@ def heisenberg_checks(a, b, c, alphas=None, field=QQi) -> HeisenbergReport:
     for t in range(3):
         sq = mat_mul(gammas[t].matrix, gammas[t].matrix)
         report.record(
-            f"gamma{t+1}^2 = identity", mats_equal(sq, identity_matrix(field))
+            f"gamma{t+1}^2 = identity", mats_equal(sq, identity_matrix(QQi))
         )
 
     # stated dual-basis matrices are the inverses of the psi matrices
-    stated = contragredient_table(a, b, c, field)
+    stated = contragredient_table(a, b, c)
     for t in range(3):
         report.record(
             f"dual table {t+1} = psi{t+1}^-1",
@@ -325,7 +325,7 @@ def heisenberg_checks(a, b, c, alphas=None, field=QQi) -> HeisenbergReport:
     for t, (lams, cyc) in enumerate(lambda_sets):
         report.record(
             f"scalar criterion psi{t+1}",
-            sklyanin_criterion(lams, alphas, cyc, field),
+            sklyanin_criterion(lams, alphas, cyc),
         )
     return report
 
@@ -343,7 +343,6 @@ def orbits(points, maps) -> list:
     reported in the order their seeds appear.
     """
     gens = list(maps) + [m.inverse() for m in maps]
-    remaining = list(points)
     out = []
     seen = set()
     for seed in points:

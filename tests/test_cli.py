@@ -118,6 +118,21 @@ class TestChl:
         code, _, err = run_cli(capsys, "chl", "params", "--abcd", "1,2")
         assert code == 2 and "abcd" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("points", "--abc", "2,,3,5"),
+        ("points", "--abc", "2,3,5,"),
+        ("chl", "params", "--abcd", "1,2,,-4,2"),
+    ], ids=["empty-middle", "trailing-comma", "empty-abcd"])
+    def test_empty_list_item_is_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
+    def test_center_has_no_abcd_route(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "center", "--abcd", "1,2,-4,2")
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "error:" in err
+
 
 class TestOtherCommands:
     def test_verify_gamma(self, capsys):

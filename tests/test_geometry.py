@@ -5,6 +5,8 @@ import pytest
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.geometry import (
     MINOR_PAIRS,
+    SIGMA_IMAGES,
+    X_VARS,
     CurveContext,
     ProjectivePoint,
     curve_relations_certificate,
@@ -24,7 +26,7 @@ from quadralab.geometry import (
     verify_matrix_consistency,
     x_ring,
 )
-from quadralab.poly import PolyRing, ideal_slice_membership
+from quadralab.poly import PolyRing, ideal_slice_membership, verify_slice_certificate
 from quadralab.scalars import QI_I, QQi, gaussian
 
 
@@ -72,20 +74,19 @@ class TestQuadrics:
 
 class TestMinors:
     def test_symbolic_factorizations(self):
-        report = minor_factorization_report(symbolic=True)
+        report = minor_factorization_report()
         assert set(report) == set(MINOR_PAIRS)
         for entry in report.values():
             assert entry["scalar"].num
             assert entry["mirror_scalar"].num
 
     def test_square_type_minors_have_matching_forms(self):
-        report = minor_factorization_report(symbolic=True)
+        report = minor_factorization_report()
         for pair in ((3, 4), (2, 6), (1, 5)):
             assert report[pair]["q_form_matches"]
 
     def test_numeric_factorizations(self):
-        report = minor_factorization_report(symbolic=False, alpha=4, beta=9,
-                                            gamma=25)
+        report = minor_factorization_report(4, 9, 25)
         assert len(report) == 15
         assert report[(2, 3)]["scalar"].num.constant_term() == gaussian(2)
 
@@ -212,15 +213,37 @@ class TestCurve:
         assert sigma_point(sigma_point(sigma_point(sigma_point(p)))) == p
 
     def test_symbolic_certificates(self):
-        certs = curve_relations_certificate(symbolic=True)
+        certs = curve_relations_certificate()
         assert len(certs) == 6
         # four of the six entries vanish identically, two are curve quadrics
         sizes = sorted(len(c) for c in certs)
         assert sizes == [0, 0, 0, 0, 1, 1]
 
     def test_numeric_certificates(self):
-        certs = curve_relations_certificate(symbolic=False, alpha=Fraction(-1, 4))
+        certs = curve_relations_certificate(Fraction(-1, 4))
         assert len(certs) == 6
+
+    @pytest.mark.parametrize("alpha", [None, Fraction(-1, 4)],
+                             ids=["symbolic", "numeric"])
+    def test_certificates_reexpand_to_the_entries(self, alpha):
+        # entry t of M . sigma(x)^T is sum_k M[t][k] * sigma(x)_k
+        if alpha is None:
+            ring = PolyRing(("alpha",) + X_VARS)
+            al = ring.gen("alpha")
+        else:
+            ring, al = x_ring(), alpha
+        curve = CurveContext(al)
+        x = [ring.gen(v) for v in X_VARS]
+        sigma_x = [x[src] if sgn > 0 else -x[src] for src, sgn in SIGMA_IMAGES]
+        certs = curve_relations_certificate(alpha)
+        rows = matrix_m(al, 1, -1, ring)
+        assert len(certs) == len(rows) == 6
+        for row, cert in zip(rows, certs):
+            entry = ring.zero()
+            for e, s in zip(row, sigma_x):
+                entry = entry + e * s
+            assert verify_slice_certificate(entry, [curve.f1, curve.f2], cert,
+                                            main_names=X_VARS)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(PreconditionViolated):
