@@ -10,9 +10,13 @@ sum c_ab mu_a(e) (x) x_b, and mu_a : A_{n-1} -> A_n, right multiplication
 by x_a, is known from the degree below.  Each degree eliminates 6*d_{n-2}
 rows against 4*d_{n-1} columns with the generic sparse echelon, over the
 relation space's own field (backend "exact") or over F_p for a prime
-p = 1 (mod 4) (backend "modular"; Python integers, so nothing overflows),
-back-substitutes once, and reads mu_a off the reduced pivot rows: a pivot
-column's class in A_n is minus the rest of its row.
+p = 1 (mod 4) (backend "modular"), back-substitutes once, and reads mu_a
+off the reduced pivot rows: a pivot column's class in A_n is minus the
+rest of its row.  Over F_p the tower holds residues as the kernel does,
+as plain ints in [0, p) (Python integers, so nothing overflows): the
+relations are coerced once, and the rows built from them reach the
+kernel unreduced: it takes each value mod p, and drops it if it is zero,
+once, when its column comes up in the elimination.
 Pivots are lex-first and the lex order is multiplicative within a degree,
 so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
@@ -41,7 +45,7 @@ from itertools import product
 
 from .errors import DegreeCapExceeded, InvalidInput, PreconditionViolated
 from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word, word_index
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, residues, unit
 from .poly import FunctionField, MacaulaySlice, RationalFunction
 from .presentations import RelationSpace
 from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, gaussian
@@ -95,9 +99,9 @@ class QuotientTower:
     def __init__(self, field, rows):
         self.field = field
         self.rows = rows          # the relations: column a*4+b -> coefficient of x_a x_b
-        one = field.one()
+        self.one = unit(field)
         self.words = [[0], list(range(NGENS))]
-        self.mu = [None, [[{j: one}] for j in range(NGENS)]]
+        self.mu = [None, [[{j: self.one}] for j in range(NGENS)]]
         self._tracked = {}        # degree -> the degree's rows, certificate-tracked
 
     def dimension(self, n: int) -> int:
@@ -129,17 +133,14 @@ class QuotientTower:
         free = [c for c in range(NGENS * len(prev)) if c not in ech.pivot_of]
         index = {c: k for k, c in enumerate(free)}
         self.words.append([prev[c // NGENS] * NGENS + c % NGENS for c in free])
-        one = self.field.one()
         mu = [[] for _ in range(NGENS)]
         for i in range(len(prev)):
             for j in range(NGENS):
                 col = i * NGENS + j
                 if col in index:
-                    mu[j].append({index[col]: one})
+                    mu[j].append({index[col]: self.one})
                 else:
-                    # a reduced pivot row is its column minus its residual
-                    row = ech.rows[ech.pivot_of[col]]
-                    mu[j].append({index[c]: -v for c, v in row.items() if c != col})
+                    mu[j].append({index[c]: v for c, v in ech.pivot_residual(col).items()})
         self.mu.append(mu)
 
     def _project(self, vec: dict, n: int) -> dict:
@@ -152,7 +153,7 @@ class QuotientTower:
 
     def _image(self, terms: dict, n: int) -> dict:
         """The image in A_{n-1} (x) V of the degree-n element {word: coeff}."""
-        classes = {(): {0: self.field.one()}}
+        classes = {(): {0: self.one}}
 
         def class_of(word):
             # prefixes are shared between the words of one element
@@ -171,7 +172,7 @@ class QuotientTower:
     def coordinates(self, f: FreeElement, n: int) -> dict:
         """The class of the degree-n element f in A_n, over the basis words[n]."""
         self.dimension(n)
-        return self._project(self._image(f.terms, n), n)
+        return residues(self.field, self._project(self._image(residues(self.field, f.terms), n), n))
 
     def certificate(self, f: FreeElement, n: int):
         """f as a list of (left word, relation index, right word, coeff), or None.
@@ -181,7 +182,7 @@ class QuotientTower:
         """
         self.dimension(n)
         out = []
-        pending = [(dict(f.terms), n, ())]
+        pending = [(dict(residues(self.field, f.terms)), n, ())]
         while pending:
             terms, m, right = pending.pop()
             if m not in self._tracked:
@@ -198,7 +199,7 @@ class QuotientTower:
                                     for c, v in self.rows[r].items()}, -lam)
             # what is left has image zero, so each letter's piece lies in (R)_{m-1}
             pieces = {}
-            for word, v in terms.items():
+            for word, v in residues(self.field, terms).items():
                 pieces.setdefault(word[-1], {})[word[:-1]] = v
             pending += [(piece, m - 1, (j,) + right) for j, piece in pieces.items()]
         return out
@@ -382,7 +383,7 @@ class GradedQuotient:
                 raise PreconditionViolated(
                     "modular backend needs Q(i) relation coefficients"
                 )
-            rows.append({c: field.coerce(v) for c, v in row.items()})
+            rows.append(residues(field, row))
         return QuotientTower(field, rows)
 
     # -- dimensions ------------------------------------------------------

@@ -216,20 +216,29 @@ class MultiPoly(RingOps):
     def evaluate(self, values: dict):
         """Evaluate at scalar values (one per variable used); returns a scalar.
 
-        Values may live in any algebra with +,*,** and int coercion for 0/1.
+        Values may live in any algebra with + and *.
         """
+        if not self.terms:
+            return QI_ZERO
+        # powers[k][e] = value of variable k to the e, each built once per call
+        powers = []
+        for k, top in enumerate(map(max, zip(*self.terms))):
+            row = [None]
+            if top:
+                name = self.ring.variables[k]
+                if name not in values:
+                    raise KeyError(f"no value for variable {name}")
+                row.append(values[name])
+                for _ in range(1, top):
+                    row.append(row[-1] * row[1])
+            powers.append(row)
         out = None
         for exp, c in self.terms.items():
             term = c
             for k, e in enumerate(exp):
                 if e:
-                    name = self.ring.variables[k]
-                    if name not in values:
-                        raise KeyError(f"no value for variable {name}")
-                    term = term * values[name] ** e
+                    term = term * powers[k][e]
             out = term if out is None else out + term
-        if out is None:
-            return QI_ZERO
         return out
 
     def split(self, inner_names) -> dict:

@@ -16,9 +16,9 @@ from quadralab.extension import adjoin_fourth_root
 from quadralab.freealg import FreeElement, from_vector
 from quadralab.geometry import point_table
 from quadralab.graded import GradedQuotient
-from quadralab.linalg import SparseEchelon
+from quadralab.linalg import SparseEchelon, residues
 from quadralab.presentations import chl_relations, chl_z_relations, sklyanin_relations
-from quadralab.scalars import GaussianRational, QI_I, gaussian, parse_scalar
+from quadralab.scalars import MR_DETERMINISTIC_BOUND, GaussianRational, QI_I, gaussian, parse_scalar
 from quadralab.symmetry import ChlPsi
 
 from slice_oracle import ExactSlices
@@ -52,20 +52,65 @@ class TestBackendCrossValidation:
 
     def test_modular_tower_is_the_exact_tower_mod_p(self):
         # the two backends eliminate over different fields; where p divides
-        # no denominator and no rank drops, the modular words and maps are
-        # the exact ones reduced mod p
+        # no denominator and no rank drops, the modular words, maps and
+        # coordinates are the exact ones reduced mod p (the modular tower
+        # holds them as int residues)
+        rng = random.Random(43)
         for space in (sklyanin_relations(2, 3, 5),
                       sklyanin_relations(2, -3, Fraction(-1, 5)),
                       chl_relations(1, 2, -4, 2)):
             quotient = GradedQuotient(space)
             exact, modular = quotient.tower("exact"), quotient.tower("modular")
             field = modular.field
+
+            def mod_p(vec):
+                return {k: field.coerce(v).value for k, v in vec.items()}
+
             for n in range(2, 6):
                 assert modular.dimension(n) == exact.dimension(n)
                 assert modular.words[n] == exact.words[n]
                 for mod_j, exact_j in zip(modular.mu[n], exact.mu[n]):
-                    assert mod_j == [{k: field.coerce(v) for k, v in e.items()}
-                                     for e in exact_j]
+                    assert mod_j == [mod_p(e) for e in exact_j]
+                for _ in range(10):
+                    f = FreeElement()
+                    for _ in range(rng.randint(1, 6)):
+                        word = tuple(rng.randrange(4) for _ in range(n))
+                        coeff = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                                 rng.randint(-2, 2))
+                        f = f + FreeElement.from_word(word, coeff)
+                    assert modular.coordinates(f, n) == mod_p(exact.coordinates(f, n))
+
+    def test_modular_certificates_re_expand_mod_p(self):
+        # the ideal part of a seeded element has a certificate on both
+        # towers; the modular one re-expands to it mod p
+        rng = random.Random(47)
+        quotient = GradedQuotient(sklyanin_relations(2, -3, Fraction(-1, 5)))
+        modular = quotient.tower("modular")
+        p = modular.field.p
+        for n in (2, 3, 4):
+            for _ in range(5):
+                f = FreeElement()
+                for _ in range(3):
+                    word = tuple(rng.randrange(4) for _ in range(n))
+                    f = f + FreeElement.from_word(word, gaussian(rng.randint(-3, 3), 1))
+                g = f - quotient.normal_form(f)
+                expanded = {}
+                for left, r, right, lam in modular.certificate(g, n):
+                    assert type(lam) is int and 0 < lam < p
+                    for c, v in modular.rows[r].items():
+                        w = left + divmod(c, 4) + right
+                        expanded[w] = (expanded.get(w, 0) + lam * v) % p
+                assert ({w: v for w, v in expanded.items() if v}
+                        == residues(modular.field, g.terms))
+
+    def test_prime_above_two_to_the_64(self):
+        # residues past the machine word: the dims of A(2,3,5) mod a
+        # 65-bit prime are the exact ones
+        p = 2 ** 64 + 13
+        assert p % 4 == 1 and p < MR_DETERMINISTIC_BOUND
+        quotient = GradedQuotient(sklyanin_relations(2, 3, 5), p=p)
+        assert (quotient.hilbert_function(6, backend="modular").dims
+                == quotient.hilbert_function(6).dims)
 
     def test_two_primes_agree(self):
         q1 = GradedQuotient(chl_relations(1, 2, -4, 2), p=65537)

@@ -14,20 +14,18 @@ from quadralab.geometry import (
     matrix_m,
     matrix_m_prime,
     minor_factorization_report,
-    minor_g,
     minor_h,
     minors_vanish_on_common_quadric_locus,
     point_table,
     quadric_determinant,
     quadrics,
-    sigma_matrix,
     sigma_point,
     verify_gamma,
     verify_matrix_consistency,
     x_ring,
 )
 from quadralab.poly import PolyRing, ideal_slice_membership, verify_slice_certificate
-from quadralab.scalars import QI_I, QQi, gaussian
+from quadralab.scalars import QI_I, gaussian
 
 
 class TestMatrices:

@@ -1,10 +1,13 @@
 """Seeded properties of the one echelon kernel, ``SparseEchelon``.
 
 Rows are random sparse vectors over Q(i) and F_65537, mixed with linear
-combinations of earlier rows so that some inserts are dependent.  The
-properties pin ``back_substitute``: it keeps the row space, pivots and
+combinations of earlier rows so that some inserts are dependent.  Over
+F_65537 the kernel holds int residues, so the values drawn there are ints.
+The properties pin ``back_substitute``: it keeps the row space, pivots and
 residuals, leaves each pivot row with free columns only besides its pivot,
-and leaves the echelon usable for further inserts.
+and leaves the echelon usable for further inserts.  Over F_p every value
+the kernel stores or returns is an int in [0, p), whatever int
+representatives it is given, and tracked combos re-expand to the input.
 """
 
 from fractions import Fraction
@@ -13,18 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadralab.linalg import SparseEchelon
+from quadralab.linalg import SparseEchelon, unit
 from quadralab.scalars import GaussianRational, PrimeField, QQi
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 NCOLS = 10
-F65537 = PrimeField(65537)
+P = 65537
+F65537 = PrimeField(P)
 _small = st.integers(-3, 3)
+# (field, scalars, canonical form of a value)
 FIELDS = {
     "qi": (QQi, st.builds(lambda x, y, d: GaussianRational(Fraction(x, d), Fraction(y, d)),
-                          _small, _small, st.integers(1, 3))),
-    "f65537": (F65537, st.integers(0, 65536).map(F65537.element)),
+                          _small, _small, st.integers(1, 3)), lambda v: v),
+    "f65537": (F65537, st.integers(0, P - 1), lambda v: v % P),
 }
 
 
@@ -32,22 +37,22 @@ def _vectors(scalars):
     return st.dictionaries(st.integers(0, NCOLS - 1), scalars.filter(bool), max_size=5)
 
 
-def _combination(rows, coeffs):
+def _combination(rows, coeffs, canon):
     out = {}
     for row, c in zip(rows, coeffs):
         for k, v in row.items():
             out[k] = out[k] + c * v if k in out else c * v
-    return {k: v for k, v in out.items() if v}
+    return {k: r for k, v in out.items() if (r := canon(v))}
 
 
-def _draw_rows(data, scalars):
+def _draw_rows(data, scalars, canon):
     """Random rows, some of them combinations of earlier ones."""
     rows = []
     for _ in range(data.draw(st.integers(1, 9))):
         if rows and data.draw(st.booleans()):
             picked = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
             coeffs = [data.draw(scalars) for _ in picked]
-            rows.append(_combination(picked, coeffs))
+            rows.append(_combination(picked, coeffs, canon))
         else:
             rows.append(data.draw(_vectors(scalars)))
     return rows
@@ -64,8 +69,8 @@ def _echelon(field, rows):
 @SEEDED
 @given(data=st.data())
 def test_back_substitution_keeps_the_row_space(kind, data):
-    field, scalars = FIELDS[kind]
-    rows = _draw_rows(data, scalars)
+    field, scalars, canon = FIELDS[kind]
+    rows = _draw_rows(data, scalars, canon)
     probes = [data.draw(_vectors(scalars)) for _ in range(4)]
     ech = _echelon(field, rows)
     rank, pivots = ech.rank, ech.pivots()
@@ -85,25 +90,26 @@ def test_back_substitution_keeps_the_row_space(kind, data):
 @SEEDED
 @given(data=st.data())
 def test_back_substituted_rows_are_reduced(kind, data):
-    field, scalars = FIELDS[kind]
-    ech = _echelon(field, _draw_rows(data, scalars))
+    field, scalars, canon = FIELDS[kind]
+    ech = _echelon(field, _draw_rows(data, scalars, canon))
     ech.back_substitute()
     for col, ridx in ech.pivot_of.items():
         row = ech.rows[ridx]
-        assert min(row) == col and row[col] == field.one()
+        assert min(row) == col and row[col] == unit(field)
         assert all(row.values())
         assert not (set(row) - {col}) & set(ech.pivot_of)
-        # the residual of a pivot column is minus the rest of its row
-        assert ech.reduce({col: field.one()}) == {c: -v for c, v in row.items() if c != col}
+        # the residual of a pivot column is minus the rest of its row (mod p over F_p)
+        minus_rest = {c: canon(-v) for c, v in row.items() if c != col}
+        assert ech.reduce({col: unit(field)}) == minus_rest == ech.pivot_residual(col)
 
 
 @pytest.mark.parametrize("kind", FIELDS)
 @SEEDED
 @given(data=st.data())
 def test_insert_after_back_substitution(kind, data):
-    field, scalars = FIELDS[kind]
-    rows = _draw_rows(data, scalars)
-    later = _draw_rows(data, scalars)
+    field, scalars, canon = FIELDS[kind]
+    rows = _draw_rows(data, scalars, canon)
+    later = _draw_rows(data, scalars, canon)
     probes = [data.draw(_vectors(scalars)) for _ in range(4)]
     ech = _echelon(field, rows)
     ech.back_substitute()
@@ -124,3 +130,46 @@ def test_back_substitution_refuses_a_tracked_echelon():
     with pytest.raises(ValueError):
         ech.back_substitute()
     assert ech.rows[0] == {0: QQi.one(), 1: QQi.one()}
+
+
+def _canonical_residues(vec):
+    return all(type(v) is int and 0 < v < P for v in vec.values())
+
+
+def _expand(combo, sources):
+    """sum combo[k] * sources[k], reduced mod P."""
+    out = {}
+    for k, c in combo.items():
+        for col, v in sources[k].items():
+            out[col] = (out.get(col, 0) + c * v) % P
+    return {col: v for col, v in out.items() if v}
+
+
+@SEEDED
+@given(data=st.data())
+def test_prime_field_values_are_canonical_residues(data):
+    # any int represents its residue: the inputs run over several multiples of p
+    scalars = st.integers(-3 * P, 3 * P)
+    sources = _draw_rows(data, scalars, lambda v: v)
+    probes = [data.draw(_vectors(scalars)) for _ in range(4)]
+    ech = SparseEchelon(F65537, track=True)
+    for k, row in enumerate(sources):
+        ech.insert(row, tag=k)
+    for row, combo in zip(ech.rows, ech.combos):
+        assert _canonical_residues(row) and _canonical_residues(combo)
+        assert _expand(combo, sources) == row
+    for v in probes:
+        residual = ech.reduce(v)
+        again, combo = ech.reduce_with_combo(v)
+        assert again == residual
+        assert _canonical_residues(residual) and _canonical_residues(combo)
+        # v = residual + sum combo[k] * source_k, mod p
+        expanded = _expand(combo, sources)
+        for col, r in residual.items():
+            expanded[col] = (expanded.get(col, 0) + r) % P
+        assert {c: r for c, r in expanded.items() if r} == {c: r % P for c, r in v.items() if r % P}
+    untracked = _echelon(F65537, sources)
+    untracked.back_substitute()
+    for col in untracked.pivot_of:
+        assert _canonical_residues(untracked.rows[untracked.pivot_of[col]])
+        assert _canonical_residues(untracked.pivot_residual(col))

@@ -6,7 +6,6 @@ import pytest
 from quadralab.freealg import generators
 from quadralab.poly import (
     FunctionField,
-    MultiPoly,
     PolyRing,
     RationalFunction,
     det4,
@@ -112,6 +111,20 @@ class TestRationalFunction:
         f = RationalFunction(a * a - b, b)
         vals = {"a": gaussian(3), "b": gaussian(2), "c": gaussian(0), "d": gaussian(0)}
         assert f.evaluate(vals) == gaussian(Fraction(7, 2))
+
+    def test_evaluate_matches_term_by_term_powers(self, ring):
+        rng = random.Random(17)
+        for _ in range(20):
+            f = rand_poly(rng, ring, 6, 4)
+            vals = {name: gaussian(rng.randint(-3, 3), rng.randint(-2, 2)) for name in "abcd"}
+            expected = gaussian(0)
+            for exp, c in f.terms.items():
+                for name, e in zip("abcd", exp):
+                    c = c * vals[name] ** e
+                expected = expected + c
+            assert f.evaluate(vals) == expected
+        with pytest.raises(KeyError):
+            ring.gens()[3].evaluate({"a": gaussian(1)})
 
 
 class TestMembership:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from quadralab.errors import DegenerateParameters, PreconditionViolated
-from quadralab.freealg import generators
 from quadralab.geometry import ProjectivePoint, point_table
 from quadralab.linalg import identity_matrix, mats_equal, proportional_matrices
 from quadralab.poly import FunctionField, PolyRing
