@@ -9,6 +9,11 @@ alpha+beta+gamma+alpha*beta*gamma are both nonzero, the locus is twenty
 distinct points forming the graph of an explicit bijection, and this
 module verifies every piece of that picture by exact evaluation.
 
+``maximal_minors`` builds the fifteen minors of a 6x4 matrix (M, or M'
+transposed) by Laplace expansion over shared 2x2 minors.  At the twenty
+points the minors are not evaluated one by one: the rank of the numeric
+matrix M(p) says whether all of them vanish there.
+
 Square roots (a, b, c) of the parameters are explicit inputs throughout,
 so the twenty-point table stays inside Q(i) for rational fixtures.
 """
@@ -16,7 +21,7 @@ so the twenty-point table stays inside Q(i) for rational fixtures.
 from __future__ import annotations
 
 from .errors import DegenerateParameters, PreconditionViolated
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, mat_transpose
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -135,17 +140,46 @@ MINOR_PAIRS = tuple(
 )
 
 
-def minor_h(m_matrix, i: int, j: int) -> MultiPoly:
-    """4x4 minor of the 6x4 matrix M with rows i<j (1-based) deleted."""
-    rows = [m_matrix[k] for k in range(6) if k + 1 not in (i, j)]
-    return det4(rows)
+def maximal_minors(rows) -> dict:
+    """The fifteen 4x4 minors of a 6x4 matrix, keyed by the deleted rows.
+
+    ``{(i, j): minor}`` over ``MINOR_PAIRS``, where the minor keeps the
+    rows other than i<j (1-based).  Each is the Laplace expansion along the
+    column blocks (0, 1) | (2, 3): a signed sum over the six ways to split
+    its four rows into two pairs, of (left 2x2 minor) * (right 2x2 minor).
+    The 2 x 15 two-by-two minors are shared, each computed once.  Entries
+    may be any ring elements with +, -, * (polynomials or scalars); the
+    minors of a 4x6 matrix are those of its transpose.
+    """
+    if len(rows) != 6 or any(len(r) != 4 for r in rows):
+        raise ValueError("expected a 6x4 matrix")
+    left, right = {}, {}
+    for r in range(6):
+        a = rows[r]
+        for s in range(r + 1, 6):
+            b = rows[s]
+            left[r, s] = a[0] * b[1] - a[1] * b[0]
+            right[r, s] = a[2] * b[3] - a[3] * b[2]
+    out = {}
+    for i, j in MINOR_PAIRS:
+        k0, k1, k2, k3 = (k for k in range(6) if k + 1 not in (i, j))
+        # the pair at positions u < v of the four takes columns (0, 1),
+        # with sign (-1)^(u + v + 1)
+        out[i, j] = (
+            left[k0, k1] * right[k2, k3]
+            - left[k0, k2] * right[k1, k3]
+            + left[k0, k3] * right[k1, k2]
+            + left[k1, k2] * right[k0, k3]
+            - left[k1, k3] * right[k0, k2]
+            + left[k2, k3] * right[k0, k1]
+        )
+    return out
 
 
-def minor_g(mp_matrix, i: int, j: int) -> MultiPoly:
-    """4x4 minor of the 4x6 matrix M' with columns i<j (1-based) deleted."""
-    cols = [k for k in range(6) if k + 1 not in (i, j)]
-    rows = [[mp_matrix[r][c] for c in cols] for r in range(4)]
-    return det4(rows)
+def mirror_x0(poly: MultiPoly) -> MultiPoly:
+    """poly(-x0, x1, x2, x3): the terms of odd degree in x0 change sign."""
+    k = poly.ring.variables.index("x0")
+    return MultiPoly(poly.ring, {e: -c if e[k] % 2 else c for e, c in poly.terms.items()})
 
 
 def quadrics(alpha, beta, gamma, ring=None):
@@ -272,12 +306,11 @@ def minor_factorization_report(alpha=None, beta=None, gamma=None):
     else:
         ring = x_ring()
         al, be, ga = alpha, beta, gamma
-    m = matrix_m(al, be, ga, ring)
-    mp = matrix_m_prime(al, be, ga, ring)
+    hs = maximal_minors(matrix_m(al, be, ga, ring))
+    gs = maximal_minors(mat_transpose(matrix_m_prime(al, be, ga, ring)))
     report = {}
     for pair in MINOR_PAIRS:
-        h = minor_h(m, *pair)
-        g = minor_g(mp, *pair)
+        h, g = hs[pair], gs[pair]
         stated = stated_minor_form(pair, al, be, ga, ring)
         scalar = proportionality_scalar(h, stated, X_VARS)
         if scalar is None or not scalar.num:
@@ -288,8 +321,7 @@ def minor_factorization_report(alpha=None, beta=None, gamma=None):
             if alt != stated:
                 raise AssertionError(f"minor {pair}: the two stated forms differ")
             entry["q_form_matches"] = True
-        mirror = h.substitute({"x0": -ring.gen("x0")})
-        mirror_scalar = proportionality_scalar(g, mirror, X_VARS)
+        mirror_scalar = proportionality_scalar(g, mirror_x0(h), X_VARS)
         if mirror_scalar is None or not mirror_scalar.num:
             raise AssertionError(f"minor {pair}: g vs h(-x0) mirror fails")
         entry["mirror_scalar"] = mirror_scalar
@@ -308,10 +340,8 @@ def minors_vanish_on_common_quadric_locus(alpha, beta, gamma):
         raise PreconditionViolated("alpha+beta+gamma+alpha*beta*gamma != 0")
     ring = x_ring()
     q, q1, _, _ = quadrics(al, be, ga, ring)
-    m = matrix_m(al, be, ga, ring)
     out = {}
-    for pair in MINOR_PAIRS:
-        h = minor_h(m, *pair)
+    for pair, h in maximal_minors(matrix_m(al, be, ga, ring)).items():
         ok, cert = ideal_slice_membership(h, [q, q1], 4)
         out[pair] = ok
         if not ok:
@@ -496,6 +526,14 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
     graph are exactly the 6-dimensional relation space; (iv) the fifteen
     minors of M vanish at first-projection points and those of M' at
     second-projection points.
+
+    (iv) is decided exactly, and independently of (ii), from the numeric
+    matrices M(p) and M'(p')^T.  Evaluation is a ring map, so a minor of M
+    takes at p the value of the same minor of M(p); and the fifteen maximal
+    minors of a 6x4 matrix over a field all vanish exactly when its rank is
+    at most 3.  So each point needs one rank (six echelon inserts), and
+    minor values are computed, to name the failing minors, only where the
+    rank is 4.
     """
     al, be, ga = (QQi.coerce(v) for v in (alpha, beta, gamma))
     a_, b_, c_ = (QQi.coerce(v) for v in (a, b, c))
@@ -545,20 +583,39 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
     )
 
     ring = x_ring()
-    m = matrix_m(al, be, ga, ring)
-    mp = matrix_m_prime(al, be, ga, ring)
-    report.minors_vanish = True
+    m = _linear_coefficients(matrix_m(al, be, ga, ring), ring)
+    mpt = _linear_coefficients(mat_transpose(matrix_m_prime(al, be, ga, ring)), ring)
+    nonzero = [(_nonzero_minors(m, p), _nonzero_minors(mpt, pp)) for p, pp in graph]
+    report.minors_vanish = not any(h or g for h, g in nonzero)
     for pair in MINOR_PAIRS:
-        h = minor_h(m, *pair)
-        g = minor_g(mp, *pair)
-        for p, pp in graph:
-            if p.evaluate(h):
-                report.minors_vanish = False
+        for (p, pp), (h, g) in zip(graph, nonzero):
+            if pair in h:
                 report.failures.append(f"minor h{pair} nonzero at {p!r}")
-            if pp.evaluate(g):
-                report.minors_vanish = False
+            if pair in g:
                 report.failures.append(f"minor g{pair} nonzero at {pp!r}")
     return report
+
+
+def _linear_coefficients(matrix, ring):
+    """Each entry of a matrix of linear forms as its (letter, coefficient) pairs."""
+    return [[[(_linear_letter(e, ring), c) for e, c in entry.terms.items()]
+             for entry in row] for row in matrix]
+
+
+def _nonzero_minors(coefficients, p: ProjectivePoint) -> dict:
+    """The maximal minors of a 6x4 matrix of linear forms that are nonzero at p.
+
+    The rank of the numeric matrix decides whether there are any; only at
+    rank 4 are the minors' values computed.
+    """
+    rows = [[sum((c * p[k] for k, c in entry), QI_ZERO) for entry in row]
+            for row in coefficients]
+    ech = SparseEchelon(QQi)
+    for row in rows:
+        ech.insert({j: v for j, v in enumerate(row) if v})
+    if ech.rank < 4:
+        return {}
+    return {pair: v for pair, v in maximal_minors(rows).items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,19 @@ def mat_inverse(field, a):
     """Inverse from a tracked echelon of the rows; raises ValueError when singular.
 
     Row j of the inverse is the combination of a's rows that gives e_j.
+    The entries come back as ``field.coerce`` values (``PrimeFieldElement``
+    over F_p, not the kernel's int residues).
     """
     n = len(a)
     ech = SparseEchelon(field, track=True)
     for i, row in enumerate(a):
-        ech.insert({j: v for j, v in enumerate(row) if v}, tag=i)
+        ech.insert(residues(field, {j: v for j, v in enumerate(row) if v}), tag=i)
     if ech.rank < n:
         raise ValueError("matrix is singular")
-    combos = [ech.reduce_with_combo({j: field.one()})[1] for j in range(n)]
-    return [[combo.get(i, field.zero()) for i in range(n)] for combo in combos]
+    one, zero = unit(field), field.zero()
+    combos = [ech.reduce_with_combo({j: one})[1] for j in range(n)]
+    return [[field.coerce(combo[i]) if i in combo else zero for i in range(n)]
+            for combo in combos]
 
 
 def mat_transpose(a):

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from quadralab import geometry
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.geometry import (
     MINOR_PAIRS,
+    PARAM_VARS,
     SIGMA_IMAGES,
     X_VARS,
     CurveContext,
@@ -13,19 +15,44 @@ from quadralab.geometry import (
     eight_points,
     matrix_m,
     matrix_m_prime,
+    maximal_minors,
     minor_factorization_report,
-    minor_h,
     minors_vanish_on_common_quadric_locus,
+    mirror_x0,
     point_table,
     quadric_determinant,
     quadrics,
     sigma_point,
+    symbolic_ring,
     verify_gamma,
     verify_matrix_consistency,
     x_ring,
 )
-from quadralab.poly import PolyRing, ideal_slice_membership, verify_slice_certificate
+from quadralab.linalg import mat_transpose
+from quadralab.poly import PolyRing, det4, ideal_slice_membership, verify_slice_certificate
 from quadralab.scalars import QI_I, gaussian
+
+
+def cofactor_minors(rows):
+    """The fifteen maximal minors of a 6x4 matrix, each by ``det4`` cofactor expansion."""
+    return {(i, j): det4([rows[k] for k in range(6) if k + 1 not in (i, j)])
+            for i, j in MINOR_PAIRS}
+
+
+def minor_matrices(params):
+    """(ring, M, M' transposed) over the symbolic ring (params None) or at params."""
+    if params is None:
+        ring = symbolic_ring()
+        params = [ring.gen(v) for v in PARAM_VARS]
+    else:
+        ring = x_ring()
+    return (ring, matrix_m(*params, ring),
+            mat_transpose(matrix_m_prime(*params, ring)))
+
+
+MINOR_PARAMS = pytest.mark.parametrize(
+    "params", [None, (4, 9, 25), (2, -3, Fraction(-1, 5))],
+    ids=["symbolic", "A(4,9,25)", "sklyanin"])
 
 
 class TestMatrices:
@@ -96,9 +123,43 @@ class TestMinors:
         # h23 = (x0x1 - alpha x2x3) * q up to scalar, so it lies in (q)
         ring = x_ring()
         q, _, _, _ = quadrics(4, 9, 25, ring)
-        h = minor_h(matrix_m(4, 9, 25, ring), 2, 3)
+        h = maximal_minors(matrix_m(4, 9, 25, ring))[(2, 3)]
         ok, _ = ideal_slice_membership(h, [q], 4)
         assert ok
+
+
+class TestMaximalMinors:
+    @MINOR_PARAMS
+    @pytest.mark.parametrize("which", [1, 2], ids=["M", "M'T"])
+    def test_match_cofactor_expansion(self, params, which):
+        rows = minor_matrices(params)[which]
+        minors = maximal_minors(rows)
+        assert list(minors) == list(MINOR_PAIRS)
+        assert minors == cofactor_minors(rows)
+
+    @MINOR_PARAMS
+    def test_mirror_is_the_x0_substitution(self, params):
+        ring, m, mpt = minor_matrices(params)
+        minus_x0 = {"x0": -ring.gen("x0")}
+        for rows in (m, mpt):
+            for minor in maximal_minors(rows).values():
+                assert mirror_x0(minor) == minor.substitute(minus_x0)
+
+    def test_numeric_rows_give_the_values_of_the_minors(self):
+        # evaluation is a ring map: the minors of M(p) are the minors' values at p
+        ring, m, mpt = minor_matrices((4, 9, 25))
+        for p in (ProjectivePoint((1, 2, 3, 4)), ProjectivePoint((2, 0, QI_I, -1)),
+                  point_table(2, 3, 5).strata["1"][2]):
+            for rows in (m, mpt):
+                symbolic = maximal_minors(rows)
+                values = [[p.evaluate(entry) for entry in row] for row in rows]
+                numeric = maximal_minors(values)
+                assert numeric == cofactor_minors(values)
+                assert numeric == {pair: p.evaluate(h) for pair, h in symbolic.items()}
+
+    def test_rejects_a_matrix_of_the_wrong_shape(self):
+        with pytest.raises(ValueError):
+            maximal_minors(matrix_m(4, 9, 25)[:5])
 
 
 class TestPointTable:
@@ -175,6 +236,37 @@ class TestVerifyGamma:
                 continue
             assert verify_gamma(al, be, ga, a, b, c).all_pass()
             done += 1
+
+    def test_minor_failures_at_a_pair_off_the_point_scheme(self, monkeypatch):
+        # one graph pair is replaced by two points off both projections;
+        # x2 = x3 = 0 at the first kills the minors with the factor
+        # x0x3 + c*x1x2, so only some of its fifteen h minors are listed
+        off = (ProjectivePoint((1, 2, 0, 0)), ProjectivePoint((1, -1, 2, QI_I)))
+
+        class OffTable(geometry.PointTable):
+            def graph(self):
+                pairs = super().graph()
+                pairs[7] = off
+                return pairs
+
+        monkeypatch.setattr(geometry, "point_table", OffTable)
+        report = verify_gamma(4, 9, 25, 2, 3, 5)
+        ring = x_ring()
+        hs = cofactor_minors(matrix_m(4, 9, 25, ring))
+        gs = cofactor_minors(mat_transpose(matrix_m_prime(4, 9, 25, ring)))
+        expected = []
+        for pair in MINOR_PAIRS:
+            for p, pp in OffTable(2, 3, 5).graph():
+                if p.evaluate(hs[pair]):
+                    expected.append(f"minor h{pair} nonzero at {p!r}")
+                if pp.evaluate(gs[pair]):
+                    expected.append(f"minor g{pair} nonzero at {pp!r}")
+        h_count = sum(f.startswith("minor h") for f in expected)
+        assert 0 < h_count < 15
+        assert len(expected) - h_count == 15
+        assert report.minors_vanish is False
+        assert not report.all_pass()
+        assert [f for f in report.failures if f.startswith("minor ")] == expected
 
     def test_sklyanin_point_refused(self):
         with pytest.raises(PreconditionViolated):

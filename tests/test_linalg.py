@@ -8,16 +8,27 @@ residuals, leaves each pivot row with free columns only besides its pivot,
 and leaves the echelon usable for further inserts.  Over F_p every value
 the kernel stores or returns is an int in [0, p), whatever int
 representatives it is given, and tracked combos re-expand to the input.
+``mat_inverse``, built on the tracked kernel, takes and returns
+``PrimeFieldElement`` matrices over F_p; ``det4`` is its singularity oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadralab.linalg import SparseEchelon, unit
-from quadralab.scalars import GaussianRational, PrimeField, QQi
+from quadralab.linalg import (
+    SparseEchelon,
+    identity_matrix,
+    mat_inverse,
+    mat_mul,
+    mats_equal,
+    unit,
+)
+from quadralab.poly import det4
+from quadralab.scalars import GaussianRational, PrimeField, PrimeFieldElement, QQi
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -173,3 +184,35 @@ def test_prime_field_values_are_canonical_residues(data):
     for col in untracked.pivot_of:
         assert _canonical_residues(untracked.rows[untracked.pivot_of[col]])
         assert _canonical_residues(untracked.pivot_residual(col))
+
+
+def _f65537_matrix(rng):
+    """A random 4x4 matrix over F_65537, about a third of its entries zero."""
+    return [[F65537.coerce(rng.randrange(P) if rng.random() < 0.7 else 0)
+             for _ in range(4)] for _ in range(4)]
+
+
+def test_mat_inverse_over_f65537():
+    rng = random.Random(65537)
+    identity = identity_matrix(F65537)
+    inverted = 0
+    for _ in range(40):
+        a = _f65537_matrix(rng)
+        if not det4(a):
+            with pytest.raises(ValueError):
+                mat_inverse(F65537, a)
+            continue
+        inv = mat_inverse(F65537, a)
+        assert all(isinstance(v, PrimeFieldElement) for row in inv for v in row)
+        assert mats_equal(mat_mul(a, inv), identity)
+        assert mats_equal(mat_mul(inv, a), identity)
+        inverted += 1
+    assert inverted >= 30
+
+
+def test_mat_inverse_refuses_a_singular_matrix_over_f65537():
+    a = _f65537_matrix(random.Random(4))
+    a[3] = [x + y * F65537.coerce(2) for x, y in zip(a[0], a[1])]
+    assert not det4(a)
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(F65537, a)
