@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import InvalidInput, QuadralabError
-from .freealg import generators
+from .freealg import LABELS_CHL, LABELS_Z, generators
 from .geometry import minor_factorization_report, point_table, verify_gamma
 from .graded import DEFAULT_DEGREE_CAP, GradedQuotient
 from .center import (
@@ -247,13 +247,13 @@ def cmd_chl(args):
     x_form, z_form = chl_z1(a, b, c, d)
     quotient = GradedQuotient(chl_z_relations(a, b, c, d, verify=False))
     ok1, _ = quotient.is_central(z_form)
-    payload["Z1_x_basis"] = x_form.render(("x1", "x2", "x3", "x4"))
-    payload["Z1_z_basis"] = z_form.render(("z0", "z1", "z2", "z3"))
+    payload["Z1_x_basis"] = x_form.render(LABELS_CHL)
+    payload["Z1_z_basis"] = z_form.render(LABELS_Z)
     payload["Z1_central"] = ok1
     try:
         psi, z2 = chl_z2(a, b, c, d)
         ok2, _ = quotient.is_central(z2_over_base(psi, z2))
-        payload["Z2_z_basis"] = z2.render(("z0", "z1", "z2", "z3"))
+        payload["Z2_z_basis"] = z2.render(LABELS_Z)
         payload["Z2_central"] = ok2
     except QuadralabError as exc:
         payload["Z2_central"] = None

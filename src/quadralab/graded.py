@@ -43,9 +43,9 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .errors import DegreeCapExceeded, InvalidInput, PreconditionViolated
+from .errors import DegreeCapExceeded, InvalidInput, NotInvertible, PreconditionViolated
 from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word, word_index
-from .linalg import SparseEchelon, residues, unit
+from .linalg import SparseEchelon, residues
 from .poly import FunctionField, MacaulaySlice, RationalFunction
 from .presentations import RelationSpace
 from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, gaussian
@@ -64,9 +64,13 @@ def degree_cap() -> int:
     if value is None:
         return DEFAULT_DEGREE_CAP
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
-        raise InvalidInput(f"{ENV_DEGREE_CAP} must be an integer, got {value!r}") from None
+        cap = None
+    if cap is None or cap < 0:
+        raise InvalidInput(f"{ENV_DEGREE_CAP} must be a non-negative integer, "
+                           f"got {value!r}")
+    return cap
 
 
 def _check_cap(n: int, force=False):
@@ -99,7 +103,7 @@ class QuotientTower:
     def __init__(self, field, rows):
         self.field = field
         self.rows = rows          # the relations: column a*4+b -> coefficient of x_a x_b
-        self.one = unit(field)
+        self.one = field.one()
         self.words = [[0], list(range(NGENS))]
         self.mu = [None, [[{j: self.one}] for j in range(NGENS)]]
         self._tracked = {}        # degree -> the degree's rows, certificate-tracked
@@ -383,7 +387,11 @@ class GradedQuotient:
                 raise PreconditionViolated(
                     "modular backend needs Q(i) relation coefficients"
                 )
-            rows.append(residues(field, row))
+            try:
+                rows.append(residues(field, row))
+            except NotInvertible:
+                raise InvalidInput(f"the prime {self.p} divides a denominator of the "
+                                   f"relations of {self.space.label}") from None
         return QuotientTower(field, rows)
 
     # -- dimensions ------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Rows are sparse (dict column -> scalar) and the code is generic: any scalar
 with +, -, *, /, bool works (Q(i), rational functions, root adjunctions).
-Over a prime field F_p the values are plain ints, not ``PrimeFieldElement``
-objects, so no update allocates a field element: the kernel takes any int
+Over a prime field F_p the values are plain ints, as ``PrimeField`` holds
+them, so no update allocates a field element: the kernel takes any int
 representatives, and every row, residual and combo it stores or returns
 holds ints in [0, p) (``residues`` brings other scalars to that form;
 Python integers, so no modulus can overflow).
@@ -33,23 +33,17 @@ import heapq
 from .scalars import PrimeField
 
 
-def unit(field):
-    """The 1 of field as ``SparseEchelon`` holds it: the int 1 over F_p."""
-    return 1 if isinstance(field, PrimeField) else field.one()
-
-
 def residues(field, vec):
     """vec as ``SparseEchelon`` holds it over field.
 
-    Over F_p the values become nonzero ints in [0, p): ints are reduced,
-    other scalars go through ``field.coerce``.  Over any other field vec is
+    Over F_p each value goes through ``field.coerce`` and the zeros are
+    dropped, leaving nonzero ints in [0, p).  Over any other field vec is
     returned as it is.
     """
     if not isinstance(field, PrimeField):
         return vec
-    p = field.p
-    return {k: r for k, v in vec.items()
-            if (r := (v if isinstance(v, int) else field.coerce(v).value) % p)}
+    coerce = field.coerce
+    return {k: r for k, v in vec.items() if (r := coerce(v))}
 
 
 class SparseEchelon:
@@ -143,7 +137,7 @@ class SparseEchelon:
         p = self.p
         inv = pow(work[col], -1, p) if p else work[col].inverse()
         if self.track:
-            combo[tag] = unit(self.field)
+            combo[tag] = self.field.one()
             self.combos.append(_scaled(combo, inv, p))
         self.rows.append(_scaled(work, inv, p))
         self.pivot_of[col] = len(self.rows) - 1
@@ -215,8 +209,7 @@ def mat_inverse(field, a):
     """Inverse from a tracked echelon of the rows; raises ValueError when singular.
 
     Row j of the inverse is the combination of a's rows that gives e_j.
-    The entries come back as ``field.coerce`` values (``PrimeFieldElement``
-    over F_p, not the kernel's int residues).
+    The entries come back as the kernel holds them: over F_p, ints in [0, p).
     """
     n = len(a)
     ech = SparseEchelon(field, track=True)
@@ -224,10 +217,9 @@ def mat_inverse(field, a):
         ech.insert(residues(field, {j: v for j, v in enumerate(row) if v}), tag=i)
     if ech.rank < n:
         raise ValueError("matrix is singular")
-    one, zero = unit(field), field.zero()
+    one, zero = field.one(), field.zero()
     combos = [ech.reduce_with_combo({j: one})[1] for j in range(n)]
-    return [[field.coerce(combo[i]) if i in combo else zero for i in range(n)]
-            for combo in combos]
+    return [[combo.get(i, zero) for i in range(n)] for combo in combos]
 
 
 def mat_transpose(a):
@@ -249,7 +241,7 @@ def mats_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def proportional_matrices(field, a, b):
+def proportional_matrices(a, b):
     """Return s with a == s*b, or None."""
     ratio = None
     for ra, rb in zip(a, b):

@@ -22,9 +22,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .freealg import (
-    LABELS_CHL,
-    LABELS_X,
-    LABELS_Z,
     FreeElement,
     anticommutator,
     apply_linear,
@@ -58,15 +55,12 @@ class RelationSpace:
     rows.
     """
 
-    def __init__(self, field, elements, label="", params=None, labels=LABELS_X,
-                 row_names=None):
+    def __init__(self, field, elements, label="", row_names=None):
         if len(elements) != 6:
             raise ValueError(f"expected 6 relations, got {len(elements)}")
         self.field = field
         self.elements = list(elements)
         self.label = label
-        self.params = dict(params or {})
-        self.labels = labels
         self.row_names = list(row_names) if row_names else [f"r{k+1}" for k in range(6)]
         self.rows = [e.coefficient_vector(2) for e in self.elements]
         ech = SparseEchelon(field)
@@ -92,15 +86,13 @@ class RelationSpace:
         # both spaces have rank 6 by construction, so one inclusion is enough
         return all(self.contains(r) for r in other.rows)
 
-    def transformed(self, matrix, label="", labels=None) -> "RelationSpace":
-        """Apply a generator substitution to every relation; params are kept."""
+    def transformed(self, matrix, label="") -> "RelationSpace":
+        """Apply a generator substitution to every relation."""
         images = [apply_linear(matrix, e) for e in self.elements]
         return RelationSpace(
             self.field,
             images,
             label=label or f"{self.label}<transformed>",
-            params=self.params,
-            labels=labels or self.labels,
             row_names=self.row_names,
         )
 
@@ -228,8 +220,6 @@ def sklyanin_relations(alpha, beta, gamma, field=QQi) -> RelationSpace:
         field,
         elements,
         label=f"A({alphas[0]},{alphas[1]},{alphas[2]})",
-        params={"alpha": alphas[0], "beta": alphas[1], "gamma": alphas[2]},
-        labels=LABELS_X,
         row_names=names,
     )
 
@@ -237,7 +227,7 @@ def sklyanin_relations(alpha, beta, gamma, field=QQi) -> RelationSpace:
 def chl_relations(a, b, c, d, field=QQi) -> RelationSpace:
     """The six relations (R1)-(R6) on generators x1..x4 (indices 0..3)."""
     a, b, c, d = (field.coerce(v) for v in (a, b, c, d))
-    params = CHLParams(a, b, c, d)
+    CHLParams(a, b, c, d)  # refuses a zero tuple
     x1, x2, x3, x4 = generators(field)
     elements = [
         x4 * x3 * a + x3 * x4 * b + x3 * x2 * c + x4 * x1 * d,
@@ -251,8 +241,6 @@ def chl_relations(a, b, c, d, field=QQi) -> RelationSpace:
         field,
         elements,
         label=f"R({a},{b},{c},{d})",
-        params={"a": a, "b": b, "c": c, "d": d, "record": params},
-        labels=LABELS_CHL,
         row_names=[f"R{k}" for k in range(1, 7)],
     )
 
@@ -296,13 +284,11 @@ def chl_z_relations(a, b, c, d, field=QQi, verify=True) -> RelationSpace:
         field,
         elements,
         label=f"Rz({a},{b},{c},{d})",
-        params={"a": a, "b": b, "c": c, "d": d, "record": params},
-        labels=LABELS_Z,
         row_names=names,
     )
     if verify:
         x_space = chl_relations(a, b, c, d, field)
-        image = x_space.transformed(x_to_z_matrix(field), label="R->z image", labels=LABELS_Z)
+        image = x_space.transformed(x_to_z_matrix(field), label="R->z image")
         if not space.spans_same(image):
             raise AssertionError(
                 "z-basis relations do not span the substituted (R1)-(R6) rows"

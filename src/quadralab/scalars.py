@@ -1,15 +1,14 @@
-"""Exact coefficient arithmetic.
-
-Three scalar domains live here:
+"""Exact coefficient arithmetic: Q(i) triples, plus F_p as a context over ints.
 
 * rationals -- ``fractions.Fraction`` from the standard library, which
   already maintains the gcd-reduced, positive-denominator normal form;
 * ``GaussianRational`` -- elements (x + y*i)/d of Q(i), a triple of Python
   ints over one common denominator in the normal form d > 0,
   gcd(x, y, d) = 1 (Cohen, GTM 138, section 4.2);
-* ``PrimeFieldElement`` -- residues mod a prime p = 1 (mod 4), used as the
-  modular rank backend.  The congruence condition guarantees a square root
-  of -1 exists mod p; the chosen root is fixed per field and reported.
+* ``PrimeField`` -- the modular rank backend F_p for a prime p = 1 (mod 4),
+  whose elements are plain ints in [0, p) with no wrapper type.  The
+  congruence condition guarantees a square root of -1 exists mod p; the
+  chosen root is fixed per field and reported.
 
 The secondary operators of every scalar type in the package derive from
 two bases defined here.  ``RingOps`` gives ``-`` (both sides), ``**`` for
@@ -410,8 +409,10 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """F_p with p = 1 (mod 4) and a fixed square root of -1.
 
-    The root is the smaller of the two candidates, so runs are reproducible
-    and the choice can be recorded in reports.
+    The elements are plain ints in [0, p): Python's int arithmetic followed
+    by ``% p`` is the field's, so there is no element type.  The root is the
+    smaller of the two candidates, so runs are reproducible and the choice
+    can be recorded in reports.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME):
@@ -435,40 +436,31 @@ class PrimeField:
                 return min(s, p - s)
         raise AssertionError("unreachable for p = 1 mod 4")
 
-    # -- element constructors -------------------------------------------
+    def zero(self) -> int:
+        return 0
 
-    def element(self, value: int) -> "PrimeFieldElement":
-        return PrimeFieldElement(value % self.p, self)
+    def one(self) -> int:
+        return 1
 
-    def zero(self):
-        return self.element(0)
+    def coerce(self, value) -> int:
+        """value reduced mod p, for an int, a Fraction or a GaussianRational.
 
-    def one(self):
-        return self.element(1)
-
-    def coerce(self, value) -> "PrimeFieldElement":
-        if isinstance(value, PrimeFieldElement):
-            if value.field is not self and value.field.p != self.p:
-                raise ValueError("element from a different prime field")
-            return value
+        (x + y*i)/d maps to (x + y*s) * d^-1 with s the fixed root of -1;
+        a denominator divisible by p raises NotInvertible.
+        """
+        p = self.p
         if isinstance(value, int):
-            return self.element(value)
+            return value % p
         if isinstance(value, Fraction):
-            return self._from_fraction(value)
-        if isinstance(value, GaussianRational):
+            num, den = value.numerator, value.denominator
+        elif isinstance(value, GaussianRational):
             # p | d exactly when p divides the denominator of re or im
-            if value.d % self.p == 0:
-                raise NotInvertible(value, f"denominator divisible by {self.p}")
-            num = value.x + value.y * self.sqrt_minus_one
-            return self.element(num * pow(value.d, -1, self.p))
-        raise TypeError(f"cannot reduce {value!r} into F_{self.p}")
-
-    def _from_fraction(self, q: Fraction) -> "PrimeFieldElement":
-        if q.denominator % self.p == 0:
-            raise NotInvertible(q, f"denominator divisible by {self.p}")
-        num = q.numerator % self.p
-        den_inv = pow(q.denominator % self.p, self.p - 2, self.p)
-        return self.element(num * den_inv)
+            num, den = value.x + value.y * self.sqrt_minus_one, value.d
+        else:
+            raise TypeError(f"cannot reduce {value!r} into F_{p}")
+        if den % p == 0:
+            raise NotInvertible(value, f"denominator divisible by {p}")
+        return num * pow(den, -1, p) % p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -478,91 +470,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p}, i={self.sqrt_minus_one})"
-
-
-class PrimeFieldElement(FieldOps):
-    """A residue mod p, hashed as its representative in [0, p).
-
-    ``==`` with an int is congruence mod p, so no hash agrees with every
-    int an element equals: only the ints 0..p-1 hash alike.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        object.__setattr__(self, "value", value % field.p)
-        object.__setattr__(self, "field", field)
-
-    def _lift(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return other
-        try:
-            return self.field.coerce(other)
-        except TypeError:
-            return None
-
-    def _one(self):
-        return PrimeFieldElement(1, self.field)
-
-    def __add__(self, other):
-        o = other if isinstance(other, PrimeFieldElement) else self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _fp((self.value + o.value) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if isinstance(other, PrimeFieldElement) else self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _fp((self.value - o.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        o = other if isinstance(other, PrimeFieldElement) else self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _fp(self.value * o.value % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.field)
-
-    def inverse(self):
-        if self.value == 0:
-            raise NotInvertible(self, f"zero in F_{self.field.p}")
-        return PrimeFieldElement(pow(self.value, self.field.p - 2, self.field.p), self.field)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"F{self.field.p}({self.value})"
-
-
-_set_value = PrimeFieldElement.value.__set__
-_set_field = PrimeFieldElement.field.__set__
-
-
-def _fp(value, field):
-    """The residue ``value`` of ``field``, already in [0, p)."""
-    z = _new(PrimeFieldElement)
-    _set_value(z, value)
-    _set_field(z, field)
-    return z
 
 
 class RationalField:

@@ -242,7 +242,7 @@ def a10_elliptic_data():
     from .geometry import sigma_matrix
     sigma = LinearAutomorphism(QQi, sigma_matrix())
     m4 = sigma.power(4)
-    proj_ok = proportional_matrices(QQi, m4.matrix, identity_matrix(QQi)) is not None
+    proj_ok = proportional_matrices(m4.matrix, identity_matrix(QQi)) is not None
     ok = symbolic_ok and numeric_ok and order_ok and proj_ok
     return ok, (f"six entries certified {symbolic_ok}, curve points {numeric_ok}, "
                 f"sigma^4 projective identity {proj_ok}")

@@ -111,9 +111,7 @@ class LinearAutomorphism:
 
     def is_scalar(self):
         """The scalar c with matrix = c*id, or None."""
-        return proportional_matrices(
-            self.field, self.matrix, identity_matrix(self.field)
-        )
+        return proportional_matrices(self.matrix, identity_matrix(self.field))
 
     def __repr__(self):
         return f"LinearAutomorphism({self.label or self.matrix})"
@@ -220,7 +218,7 @@ def permutation_type_map(lambdas, cyclic) -> LinearAutomorphism:
     return LinearAutomorphism(QQi, m, label="perm-type")
 
 
-def sklyanin_criterion(lambdas, alphas, cyclic=(1, 2, 3)) -> bool:
+def sklyanin_criterion(lambdas, alphas, cyclic) -> bool:
     """The three scalar conditions for a permute-and-scale map to extend.
 
     l0*li/(lj*lk) = -1, l0*lj/(lk*li) = -alpha_j, l0*lk/(li*lj) = alpha_k,
@@ -410,7 +408,6 @@ class ChlPsi:
         self.params = CHLParams(a, b, c, d)
         self.base_field = field
         rho2, rho3 = chl_rho_values(self.params)
-        self.rho2, self.rho3 = rho2, rho3
         tower = adjoin_fourth_root(field, "q2", rho2)
         tower = adjoin_fourth_root(tower, "q3", rho3)
         self.field = tower

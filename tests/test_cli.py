@@ -43,6 +43,14 @@ class TestHilbert:
         assert out == ""
         assert err.startswith("error: --mod-p") and reason in err
 
+    def test_prime_dividing_a_denominator_is_exit_two(self, capsys):
+        # 5 is a usable prime, but gamma = -1/5 has no residue mod 5
+        code, out, err = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta=-3", "--gamma=-1/5",
+            "--degree", "3", "--mod-p", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "5" in err
+
     def test_exact_run(self, capsys):
         # negative literals need the --flag=value spelling under argparse
         code, out, _ = run_cli(
@@ -78,6 +86,14 @@ class TestHilbert:
             capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5")
         assert code == 2
         assert out == "" and err.startswith("error: QUADRALAB_DEGREE_CAP")
+
+    def test_negative_cap_variable_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUADRALAB_DEGREE_CAP", "-1")
+        code, out, err = run_cli(
+            capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
+            "--degree", "0")
+        assert code == 2
+        assert out == "" and err.startswith("error: QUADRALAB_DEGREE_CAP") and "-1" in err
 
     def test_negative_degree_is_exit_two(self, capsys):
         code, out, err = run_cli(

@@ -64,7 +64,7 @@ class TestBackendCrossValidation:
             field = modular.field
 
             def mod_p(vec):
-                return {k: field.coerce(v).value for k, v in vec.items()}
+                return {k: field.coerce(v) for k, v in vec.items()}
 
             for n in range(2, 6):
                 assert modular.dimension(n) == exact.dimension(n)

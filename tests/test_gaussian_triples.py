@@ -144,5 +144,5 @@ def test_prime_field_reduction_matches_the_parts(a):
         with pytest.raises(NotInvertible):
             field.coerce(z)
         return
-    s = field.element(field.sqrt_minus_one)
-    assert field.coerce(z) == field.coerce(a[0]) + field.coerce(a[1]) * s
+    s = field.sqrt_minus_one
+    assert field.coerce(z) == (field.coerce(a[0]) + field.coerce(a[1]) * s) % field.p

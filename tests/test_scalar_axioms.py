@@ -1,8 +1,9 @@
-"""Seeded ring and field axioms for the five scalar types.
+"""Seeded ring and field axioms for the four scalar types.
 
 Every type writes ``+``, unary ``-``, ``*`` and ``inverse`` itself and
 derives ``-``, ``/``, ``**`` and immutability from ``RingOps``/``FieldOps``;
-the properties tie the two together.
+the properties tie the two together.  F_p has no scalar type: its
+elements are plain ints, and ``test_scalars`` checks ``PrimeField.coerce``.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from quadralab.errors import NotInvertible
 from quadralab.extension import adjoin_square_root
 from quadralab.poly import MultiPoly, PolyRing, RationalFunction
-from quadralab.scalars import GaussianRational, PrimeField, QQi
+from quadralab.scalars import GaussianRational, QQi
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -29,15 +30,8 @@ def _polys(max_terms):
         lambda ts: sum((RING.monomial(e, c) for e, c in ts), RING.zero()))
 
 
-def _prime(p):
-    field = PrimeField(p)
-    return st.integers(0, p - 1).map(field.element)
-
-
 FIELDS = {
     "qi": _qi,
-    "f13": _prime(13),
-    "f65537": _prime(65537),
     "ratfunc": st.builds(RationalFunction, _polys(2), _polys(2).filter(bool)),
     "sqrt2": st.lists(_qi, min_size=2, max_size=2).map(SQRT2.element),
 }

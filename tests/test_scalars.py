@@ -114,8 +114,8 @@ class TestPrimeField:
         for _ in range(200):
             x, y = rand_gaussian(rng), rand_gaussian(rng)
             fx, fy = field.coerce(x), field.coerce(y)
-            assert field.coerce(x + y) == fx + fy
-            assert field.coerce(x * y) == fx * fy
+            assert field.coerce(x + y) == (fx + fy) % field.p
+            assert field.coerce(x * y) == fx * fy % field.p
 
     def test_p_divides_denominator_rejected(self):
         field = PrimeField(13)
@@ -130,16 +130,32 @@ class TestPrimeField:
         z = GaussianRational(Fraction(1, 2), Fraction(26, 3))
         assert field.coerce(z) == field.coerce(Fraction(1, 2))
 
-    def test_element_operators_stay_reduced(self):
+    @pytest.mark.parametrize("p", [13, DEFAULT_PRIME, 2 ** 64 + 13])
+    def test_coerce_returns_the_residue(self, p):
+        # an element of F_p is a plain int in [0, p): (x + y*s) * d^-1 mod p
+        field = PrimeField(p)
+        s = field.sqrt_minus_one
+        rng = random.Random(p)
+        span = 3 * p
+        for _ in range(200):
+            x, y = rng.randint(-span, span), rng.randint(-span, span)
+            d = rng.randint(1, span)
+            if d % p == 0:
+                continue
+            cases = [(x, x, 0, 1), (Fraction(x, d), x, 0, d),
+                     (GaussianRational(Fraction(x, d), Fraction(y, d)), x, y, d)]
+            for value, num_re, num_im, den in cases:
+                got = field.coerce(value)
+                assert type(got) is int and 0 <= got < p
+                assert got == (num_re + num_im * s) * pow(den, -1, p) % p
+        for value in (-1, -p, p, p + 1, 5 * p - 2):
+            assert field.coerce(value) == value % p
+
+    def test_zero_and_one_are_ints(self):
         field = PrimeField(13)
-        for a in range(13):
-            for b in range(13):
-                x, y = field.element(a), field.element(b)
-                for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
-                    assert got.value == want % 13 and got.field is field
-        x = field.element(5)
-        assert (x + 9).value == 1 and (2 - x).value == 10 and (x * Fraction(1, 2)).value == 9
-        with pytest.raises(NotInvertible):
-            x + Fraction(1, 13)
+        assert type(field.zero()) is int and field.zero() == 0
+        assert type(field.one()) is int and field.one() == 1
+
+    def test_float_is_refused(self):
         with pytest.raises(TypeError):
-            x * 0.5
+            PrimeField(13).coerce(0.5)

@@ -100,7 +100,7 @@ class TestGroupStructure:
     def test_square_scalar(self, psis):
         # psi1^2 is -i * (second root) * (third root) times the involution
         g1 = gamma_maps()[0]
-        scal = proportional_matrices(QQi, psis[0].compose(psis[0]).matrix, g1.matrix)
+        scal = proportional_matrices(psis[0].compose(psis[0]).matrix, g1.matrix)
         assert scal == gaussian(0, -15)
 
     def test_group_commutator_is_i(self, psis):
