@@ -19,7 +19,7 @@ takes a remainder.  A column's value is settled when the column is popped
 is popped exactly once, so what the kernel returns is canonical.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
-quotient tower, Macaulay slices and the 4x4 inverses all use it.
+quotient tower and Macaulay slices all use it.
 ``back_substitute`` brings an untracked echelon to reduced form in one
 pass (the quotient tower reads its multiplication maps off the reduced
 rows with ``pivot_residual``); it refuses a tracked echelon, whose
@@ -203,23 +203,6 @@ def sum_products(row, b, j, k):
     for t in range(1, k):
         total = total + row[t] * b[t][j]
     return total
-
-
-def mat_inverse(field, a):
-    """Inverse from a tracked echelon of the rows; raises ValueError when singular.
-
-    Row j of the inverse is the combination of a's rows that gives e_j.
-    The entries come back as the kernel holds them: over F_p, ints in [0, p).
-    """
-    n = len(a)
-    ech = SparseEchelon(field, track=True)
-    for i, row in enumerate(a):
-        ech.insert(residues(field, {j: v for j, v in enumerate(row) if v}), tag=i)
-    if ech.rank < n:
-        raise ValueError("matrix is singular")
-    one, zero = field.one(), field.zero()
-    combos = [ech.reduce_with_combo({j: one})[1] for j in range(n)]
-    return [[combo.get(i, zero) for i in range(n)] for combo in combos]
 
 
 def mat_transpose(a):

@@ -6,6 +6,12 @@ generate a group of order 4^3 acting on A(alpha,beta,gamma) whenever
 alpha*beta*gamma is nonzero.  The sign involutions gamma_i = psi_i^2 up to
 scalar form a Klein four-group that acts for every parameter choice.
 
+Every map here (the psi_i, the gamma_i, sigma and the R(a,b,c,d) map
+below) is permute-and-scale, and ``LinearAutomorphism`` holds it as a
+permutation and four scalars: composing, inverting and acting take O(4)
+scalar work and never an elimination.  A matrix that is not
+permute-and-scale is refused.
+
 Points of the twenty-point configuration transform by the inverse
 transpose of the generator matrices (the dual-space action); with that
 convention psi_1 sends (abc, a, b, c) to (a, -ia, i, 1).
@@ -19,17 +25,9 @@ from __future__ import annotations
 
 from .errors import DegenerateParameters, PreconditionViolated
 from .extension import adjoin_fourth_root
-from .freealg import FreeElement, apply_linear
+from .freealg import FreeElement
 from .geometry import ProjectivePoint
-from .linalg import (
-    mat_inverse,
-    mat_mul,
-    mat_transpose,
-    mats_equal,
-    identity_matrix,
-    proportional_matrices,
-    scalar_matrix,
-)
+from .linalg import identity_matrix, mat_mul, mats_equal, scalar_matrix
 from .presentations import (
     CHLParams,
     RelationSpace,
@@ -40,89 +38,103 @@ from .scalars import QI_I, QI_ONE, QI_ZERO, QQi
 
 
 class LinearAutomorphism:
-    """An invertible substitution on the four generators.
+    """A permute-and-scale substitution x_j -> scales[j] * x_{perm[j]}.
 
-    The matrix convention matches apply_linear: column j holds the
-    coefficients of the image of generator j.
+    Every map of the group has one nonzero entry per row and column, so
+    composing, inverting, powering and moving a point or a word are O(4)
+    scalar work.  The constructor takes a matrix in apply_linear's
+    convention (column j holds the coefficients of the image of generator
+    j): a singular matrix is refused with DegenerateParameters, any other
+    matrix that is not permute-and-scale with PreconditionViolated.
+    ``matrix`` and ``inverse_matrix()`` build the dense form on demand.
+    The scalars must have ``inverse()``: Q(i), a root tower or a function
+    field.
     """
 
     def __init__(self, field, matrix, label=""):
+        m = [[field.coerce(v) for v in row] for row in matrix]
+        cols = [[r for r in range(4) if m[r][j]] for j in range(4)]
+        if (not all(cols) or not all(any(row) for row in m)
+                or any(m[r] == m[s] for r in range(4) for s in range(r))):
+            raise DegenerateParameters(f"{label or 'map'} is singular")
+        if any(len(rows) > 1 for rows in cols):
+            raise PreconditionViolated(f"{label or 'map'} is not permute-and-scale")
+        # one nonzero per column and no zero row: perm is a bijection
         self.field = field
-        self.matrix = [[field.coerce(v) for v in row] for row in matrix]
+        self.perm = tuple(rows[0] for rows in cols)
+        self.scales = tuple(m[r][j] for j, r in enumerate(self.perm))
         self.label = label
-        try:
-            self._inverse_matrix = mat_inverse(field, self.matrix)
-        except ValueError:
-            raise DegenerateParameters(f"{label or 'map'} is singular") from None
 
     @classmethod
-    def _invertible(cls, field, matrix, label, inverse_matrix=None):
-        """A map known to be invertible, such as a product of invertible maps.
-
-        It skips the singularity check; without ``inverse_matrix`` the
-        inverse is computed on first use.
-        """
+    def _monomial(cls, field, perm, scales, label):
         out = cls.__new__(cls)
-        out.field = field
-        out.matrix = matrix
-        out.label = label
-        out._inverse_matrix = inverse_matrix
+        out.field, out.perm, out.scales, out.label = field, perm, scales, label
         return out
 
+    @property
+    def matrix(self):
+        zero = self.field.zero()
+        m = [[zero] * 4 for _ in range(4)]
+        for j, (r, s) in enumerate(zip(self.perm, self.scales)):
+            m[r][j] = s
+        return m
+
     def inverse_matrix(self):
-        if self._inverse_matrix is None:
-            self._inverse_matrix = mat_inverse(self.field, self.matrix)
-        return self._inverse_matrix
+        return self.inverse().matrix
 
     def __call__(self, f: FreeElement) -> FreeElement:
-        return apply_linear(self.matrix, f)
+        """The algebra map: each word letter by letter, times its scales."""
+        perm, scales = self.perm, self.scales
+        out = {}
+        for w, c in f.terms.items():
+            for letter in w:
+                c = c * scales[letter]
+            out[tuple(perm[letter] for letter in w)] = c
+        return FreeElement(out)
 
     def compose(self, other: "LinearAutomorphism") -> "LinearAutomorphism":
         """self after other."""
-        return LinearAutomorphism._invertible(
+        return LinearAutomorphism._monomial(
             self.field,
-            mat_mul(self.matrix, other.matrix),
+            tuple(self.perm[k] for k in other.perm),
+            tuple(self.scales[k] * s for k, s in zip(other.perm, other.scales)),
             f"{self.label}*{other.label}",
         )
 
     def inverse(self) -> "LinearAutomorphism":
-        return LinearAutomorphism._invertible(
-            self.field, self.inverse_matrix(), f"{self.label}^-1", self.matrix
+        perm, scales = [0] * 4, [None] * 4
+        for j, (r, s) in enumerate(zip(self.perm, self.scales)):
+            perm[r], scales[r] = j, s.inverse()
+        return LinearAutomorphism._monomial(
+            self.field, tuple(perm), tuple(scales), f"{self.label}^-1"
         )
 
     def power(self, n: int) -> "LinearAutomorphism":
         if n < 0:
             return self.inverse().power(-n)
-        out = LinearAutomorphism._invertible(
-            self.field, identity_matrix(self.field), "id", identity_matrix(self.field)
+        out = LinearAutomorphism._monomial(
+            self.field, (0, 1, 2, 3), (self.field.one(),) * 4, "id"
         )
         for _ in range(n):
             out = self.compose(out)
         return out
 
     def on_point(self, p: ProjectivePoint) -> ProjectivePoint:
-        """Dual action: coordinates transform by the inverse transpose."""
-        mt = mat_transpose(self.inverse_matrix())
-        return ProjectivePoint(
-            tuple(
-                sum_entries(mt[r], p) for r in range(4)
-            )
-        )
+        """Dual action, the inverse transpose: q[perm[j]] = p[j] / scales[j]."""
+        q = [None] * 4
+        for j, (r, s) in enumerate(zip(self.perm, self.scales)):
+            q[r] = p[j] / s
+        return ProjectivePoint(q)
 
     def is_scalar(self):
         """The scalar c with matrix = c*id, or None."""
-        return proportional_matrices(self.matrix, identity_matrix(self.field))
+        c = self.scales[0]
+        if self.perm == (0, 1, 2, 3) and all(s == c for s in self.scales):
+            return c
+        return None
 
     def __repr__(self):
         return f"LinearAutomorphism({self.label or self.matrix})"
-
-
-def sum_entries(row, p):
-    total = None
-    for c, v in zip(row, p):
-        term = c * v
-        total = term if total is None else total + term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +350,11 @@ def orbits(points, maps) -> list:
 
     Breadth-first closure with normalized-point equality; maps act on
     points through their dual (inverse-transpose) matrices.  Orbits are
-    reported in the order their seeds appear.
+    reported in the order their seeds appear.  The closure uses the maps
+    alone: on a finite orbit an injective map's forward images already
+    include its inverse images (and the closure ends only on finite orbits).
     """
-    gens = list(maps) + [m.inverse() for m in maps]
+    gens = list(maps)
     out = []
     seen = set()
     for seed in points:
@@ -361,15 +375,23 @@ def orbits(points, maps) -> list:
 
 
 def point_action_is_faithful(points, psi1, psi2) -> bool:
-    """The 16 projective classes psi1^m psi2^n act by distinct permutations."""
+    """The 16 projective classes psi1^m psi2^n act by distinct permutations.
+
+    The points must be closed under psi1 and psi2.  The dual action is a
+    group action, so psi1^m psi2^n permutes the points as P1^m P2^n, where
+    P1 and P2 are the permutations psi1 and psi2 induce: one image of
+    each point under each map gives all sixteen.
+    """
     pts = list(points)
     index = {p: k for k, p in enumerate(pts)}
-    perms = set()
-    for m in range(4):
-        for n in range(4):
-            g = psi1.power(m).compose(psi2.power(n))
-            perm = tuple(index[g.on_point(p)] for p in pts)
-            perms.add(perm)
+    powers = []
+    for g in (psi1, psi2):
+        perm = tuple(index[g.on_point(p)] for p in pts)
+        pw = [tuple(range(len(pts)))]
+        for _ in range(3):
+            pw.append(tuple(perm[k] for k in pw[-1]))
+        powers.append(pw)
+    perms = {tuple(p1[k] for k in p2) for p1 in powers[0] for p2 in powers[1]}
     return len(perms) == 16
 
 

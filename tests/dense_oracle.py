@@ -1,0 +1,32 @@
+"""Dense 4x4 oracles for ``symmetry.LinearAutomorphism``.
+
+``mat_inverse`` is the inverse the library took when it held each map as
+a dense matrix: a tracked ``SparseEchelon`` of the rows, over any field the
+kernel takes.  Row j of the inverse is the combination of the rows that
+gives e_j; over F_p the entries come back as the kernel holds them, ints
+in [0, p).  ``dual_point`` is the dual action as the inverse-transpose
+mat-vec.  The property tests compare the permute-and-scale operations with
+these and with ``linalg.mat_mul`` and ``freealg.apply_linear``.
+"""
+
+from quadralab.geometry import ProjectivePoint
+from quadralab.linalg import SparseEchelon, mat_transpose, residues
+
+
+def mat_inverse(field, a):
+    """Inverse from a tracked echelon of the rows; raises ValueError when singular."""
+    n = len(a)
+    ech = SparseEchelon(field, track=True)
+    for i, row in enumerate(a):
+        ech.insert(residues(field, {j: v for j, v in enumerate(row) if v}), tag=i)
+    if ech.rank < n:
+        raise ValueError("matrix is singular")
+    one, zero = field.one(), field.zero()
+    combos = [ech.reduce_with_combo({j: one})[1] for j in range(n)]
+    return [[combo.get(i, zero) for i in range(n)] for combo in combos]
+
+
+def dual_point(field, matrix, p):
+    """The point p moved by the inverse transpose of matrix."""
+    mt = mat_transpose(mat_inverse(field, matrix))
+    return ProjectivePoint(tuple(sum(c * v for c, v in zip(row, p)) for row in mt))

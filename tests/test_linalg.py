@@ -8,9 +8,9 @@ residuals, leaves each pivot row with free columns only besides its pivot,
 and leaves the echelon usable for further inserts.  Over F_p every value
 the kernel stores or returns is an int in [0, p), whatever int
 representatives it is given, and tracked combos re-expand to the input.
-``mat_inverse``, built on the tracked kernel, returns int residues over
-F_p whatever int representatives it is given; ``det4(a) % p`` is its
-singularity oracle.
+The dense oracle ``mat_inverse`` (``tests/dense_oracle.py``), built on the
+tracked kernel, returns int residues over F_p whatever int representatives
+it is given; ``det4(a) % p`` is its singularity oracle.
 """
 
 import random
@@ -20,13 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadralab.linalg import (
-    SparseEchelon,
-    identity_matrix,
-    mat_inverse,
-    mat_mul,
-    mats_equal,
-)
+from dense_oracle import mat_inverse
+from quadralab.linalg import SparseEchelon, identity_matrix, mat_mul, mats_equal
 from quadralab.poly import det4
 from quadralab.scalars import GaussianRational, PrimeField, QQi
 
