@@ -334,6 +334,7 @@ def cmd_selftest(args):
     else:
         for r in results:
             print(r.line())
+            print(f"{r.name} {r.seconds:.1f}s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -21,7 +21,7 @@ so the twenty-point table stays inside Q(i) for rational fixtures.
 from __future__ import annotations
 
 from .errors import DegenerateParameters, PreconditionViolated
-from .linalg import SparseEchelon, mat_transpose
+from .linalg import SparseEchelon
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -70,6 +70,10 @@ def matrix_m_prime(alpha, beta, gamma, ring=None):
         [al * x3, x0, ga * x1, -x1, x3, -x0],
         [al * x2, be * x1, x0, -x0, -x2, x1],
     ]
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def _rows_of_bilinear_matrix(matrix, ring, transpose=False):
@@ -307,7 +311,7 @@ def minor_factorization_report(alpha=None, beta=None, gamma=None):
         ring = x_ring()
         al, be, ga = alpha, beta, gamma
     hs = maximal_minors(matrix_m(al, be, ga, ring))
-    gs = maximal_minors(mat_transpose(matrix_m_prime(al, be, ga, ring)))
+    gs = maximal_minors(_transpose(matrix_m_prime(al, be, ga, ring)))
     report = {}
     for pair in MINOR_PAIRS:
         h, g = hs[pair], gs[pair]
@@ -584,7 +588,7 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
 
     ring = x_ring()
     m = _linear_coefficients(matrix_m(al, be, ga, ring), ring)
-    mpt = _linear_coefficients(mat_transpose(matrix_m_prime(al, be, ga, ring)), ring)
+    mpt = _linear_coefficients(_transpose(matrix_m_prime(al, be, ga, ring)), ring)
     nonzero = [(_nonzero_minors(m, p), _nonzero_minors(mpt, pp)) for p, pp in graph]
     report.minors_vanish = not any(h or g for h, g in nonzero)
     for pair in MINOR_PAIRS:

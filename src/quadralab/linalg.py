@@ -184,58 +184,3 @@ def _negated(vec, p):
         return {k: r for k, v in vec.items() if (r := -v % p)}
     return {k: -v for k, v in vec.items() if v}
 
-
-# ---------------------------------------------------------------------------
-# dense matrices over small scalar fields (4x4 automorphism work)
-# ---------------------------------------------------------------------------
-
-
-def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [sum_products(a[i], b, j, k) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def sum_products(row, b, j, k):
-    total = row[0] * b[0][j]
-    for t in range(1, k):
-        total = total + row[t] * b[t][j]
-    return total
-
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def identity_matrix(field):
-    """The 4x4 identity over field."""
-    return scalar_matrix(field, field.one())
-
-
-def scalar_matrix(field, c):
-    """c times the 4x4 identity over field."""
-    c = field.coerce(c)
-    return [[c if i == j else field.zero() for j in range(4)] for i in range(4)]
-
-
-def mats_equal(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def proportional_matrices(a, b):
-    """Return s with a == s*b, or None."""
-    ratio = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if bool(x) != bool(y):
-                return None
-            if not y:
-                continue
-            r = x / y
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return None
-    return ratio

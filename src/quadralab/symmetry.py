@@ -27,14 +27,13 @@ from .errors import DegenerateParameters, PreconditionViolated
 from .extension import adjoin_fourth_root
 from .freealg import FreeElement
 from .geometry import ProjectivePoint
-from .linalg import identity_matrix, mat_mul, mats_equal, scalar_matrix
 from .presentations import (
     CHLParams,
     RelationSpace,
     chl_z_coefficients,
     chl_z_relations,
 )
-from .scalars import QI_I, QI_ONE, QI_ZERO, QQi
+from .scalars import QI_I, QI_ONE, QI_ZERO, PrimeField, QQi
 
 
 class LinearAutomorphism:
@@ -46,12 +45,16 @@ class LinearAutomorphism:
     convention (column j holds the coefficients of the image of generator
     j): a singular matrix is refused with DegenerateParameters, any other
     matrix that is not permute-and-scale with PreconditionViolated.
-    ``matrix`` and ``inverse_matrix()`` build the dense form on demand.
-    The scalars must have ``inverse()``: Q(i), a root tower or a function
-    field.
+    ``matrix`` builds the dense form on demand.  The scalars must have
+    ``inverse()``: Q(i), a root tower or a function field; a
+    ``PrimeField``, whose values are plain ints, is refused with
+    PreconditionViolated.
     """
 
     def __init__(self, field, matrix, label=""):
+        if isinstance(field, PrimeField):
+            raise PreconditionViolated(
+                f"{label or 'map'} needs scalars with inverse(), not the ints of F_{field.p}")
         m = [[field.coerce(v) for v in row] for row in matrix]
         cols = [[r for r in range(4) if m[r][j]] for j in range(4)]
         if (not all(cols) or not all(any(row) for row in m)
@@ -78,9 +81,6 @@ class LinearAutomorphism:
         for j, (r, s) in enumerate(zip(self.perm, self.scales)):
             m[r][j] = s
         return m
-
-    def inverse_matrix(self):
-        return self.inverse().matrix
 
     def __call__(self, f: FreeElement) -> FreeElement:
         """The algebra map: each word letter by letter, times its scales."""
@@ -214,7 +214,7 @@ def contragredient_table(a, b, c):
 def preserves_relations(phi: LinearAutomorphism, space: RelationSpace) -> bool:
     """True iff the induced degree-2 map fixes the relation row space."""
     # phi is invertible, so the image rows keep rank 6
-    return space.transformed(phi.matrix).spans_same(space)
+    return RelationSpace(space.field, [phi(e) for e in space.elements]).spans_same(space)
 
 
 def permutation_type_map(lambdas, cyclic) -> LinearAutomorphism:
@@ -287,44 +287,40 @@ def heisenberg_checks(a, b, c) -> HeisenbergReport:
     gammas = gamma_maps()
     i = QI_I
 
+    # each identity f = c g is read as the ratio f g^-1 being the scalar c
+    def ratio(f, g):
+        return f.compose(g.inverse()).is_scalar()
+
     # braiding: psi1 psi2 = i psi2 psi1 and cyclic variants
     for (u, v) in ((0, 1), (1, 2), (2, 0)):
-        lhs = mat_mul(psis[u].matrix, psis[v].matrix)
-        rhs = mat_mul(psis[v].matrix, psis[u].matrix)
-        rhs = [[i * x for x in row] for row in rhs]
-        report.record(f"psi{u+1}psi{v+1} = i psi{v+1}psi{u+1}", mats_equal(lhs, rhs))
+        uv, vu = psis[u].compose(psis[v]), psis[v].compose(psis[u])
+        report.record(f"psi{u+1}psi{v+1} = i psi{v+1}psi{u+1}", ratio(uv, vu) == i)
 
     # squares: psi1^2 = -i b c gamma1 etc.
     scalars = (-i * b * c, -i * a * c, -i * a * b)
     for t in range(3):
-        sq = mat_mul(psis[t].matrix, psis[t].matrix)
-        target = [[scalars[t] * x for x in row] for row in gammas[t].matrix]
-        report.record(f"psi{t+1}^2 = scalar * gamma{t+1}", mats_equal(sq, target))
+        sq = psis[t].compose(psis[t])
+        report.record(f"psi{t+1}^2 = scalar * gamma{t+1}", ratio(sq, gammas[t]) == scalars[t])
 
     # normalized fourth powers: psi_t^4 equals nu_t^4 times the identity,
     # where a nu1^2 = b nu2^2 = c nu3^2 = -i a b c
     nu_sq = ((-i) * a * b * c / a, (-i) * a * b * c / b, (-i) * a * b * c / c)
     for t in range(3):
-        p4 = psis[t].power(4)
-        target = scalar_matrix(QQi, nu_sq[t] * nu_sq[t])
-        report.record(f"epsilon{t+1}^4 = identity", mats_equal(p4.matrix, target))
+        report.record(f"epsilon{t+1}^4 = identity",
+                      psis[t].power(4).is_scalar() == nu_sq[t] ** 2)
 
     # Klein four-group of sign involutions
-    g12 = mat_mul(gammas[0].matrix, gammas[1].matrix)
-    report.record("gamma1 gamma2 = gamma3", mats_equal(g12, gammas[2].matrix))
+    g12 = gammas[0].compose(gammas[1])
+    report.record("gamma1 gamma2 = gamma3", ratio(g12, gammas[2]) == QI_ONE)
     for t in range(3):
-        sq = mat_mul(gammas[t].matrix, gammas[t].matrix)
-        report.record(
-            f"gamma{t+1}^2 = identity", mats_equal(sq, identity_matrix(QQi))
-        )
+        report.record(f"gamma{t+1}^2 = identity",
+                      gammas[t].compose(gammas[t]).is_scalar() == QI_ONE)
 
     # stated dual-basis matrices are the inverses of the psi matrices
     stated = contragredient_table(a, b, c)
     for t in range(3):
-        report.record(
-            f"dual table {t+1} = psi{t+1}^-1",
-            mats_equal(stated[t], psis[t].inverse_matrix()),
-        )
+        report.record(f"dual table {t+1} = psi{t+1}^-1",
+                      stated[t] == psis[t].inverse().matrix)
 
     # scalar criterion for the psi maps; lambdas listed as (l0, li, lj, lk)
     lambda_sets = (
@@ -464,9 +460,8 @@ class ChlPsi:
         t0, t1, t2, t3 = self.taus
         out = {}
         sq = self.map.compose(self.map)
-        out["psi^2(z0) = -z0"] = sq.matrix[0][0] == tower.coerce(-1)
-        p4 = self.map.power(4)
-        out["psi^4 = identity"] = mats_equal(p4.matrix, identity_matrix(tower))
+        out["psi^2(z0) = -z0"] = sq.perm[0] == 0 and sq.scales[0] == tower.coerce(-1)
+        out["psi^4 = identity"] = self.map.power(4).is_scalar() == tower.one()
         out["tau0 tau1 = -1"] = t0 * t1 == tower.coerce(-1)
         out["tau2 tau3 = 1"] = t2 * t3 == tower.one()
 

@@ -1,16 +1,33 @@
-"""Dense 4x4 oracles for ``symmetry.LinearAutomorphism``.
+"""Dense 4x4 oracles for ``symmetry.LinearAutomorphism`` and the matrix tests.
 
-``mat_inverse`` is the inverse the library took when it held each map as
-a dense matrix: a tracked ``SparseEchelon`` of the rows, over any field the
-kernel takes.  Row j of the inverse is the combination of the rows that
-gives e_j; over F_p the entries come back as the kernel holds them, ints
-in [0, p).  ``dual_point`` is the dual action as the inverse-transpose
-mat-vec.  The property tests compare the permute-and-scale operations with
-these and with ``linalg.mat_mul`` and ``freealg.apply_linear``.
+The library holds each automorphism as a permutation and four scalars and
+keeps no dense matrix arithmetic; these are the dense forms the tests
+check it against.  ``mat_mul``, ``transpose`` and ``identity_matrix`` are
+the plain matrix product, transpose and identity.  ``mat_inverse`` is the
+inverse the library took when it held each map as a dense matrix: a
+tracked ``SparseEchelon`` of the rows, over any field the kernel takes.
+Row j of the inverse is the combination of the rows that gives e_j; over
+F_p the entries come back as the kernel holds them, ints in [0, p).
+``dual_point`` is the dual action as the inverse-transpose mat-vec.
 """
 
 from quadralab.geometry import ProjectivePoint
-from quadralab.linalg import SparseEchelon, mat_transpose, residues
+from quadralab.linalg import SparseEchelon, residues
+
+
+def mat_mul(a, b):
+    """The product a b, summed from the first term (no zero of the field needed)."""
+    return [[sum((row[t] * b[t][j] for t in range(1, len(b))), row[0] * b[0][j])
+             for j in range(len(b[0]))] for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def identity_matrix(field):
+    one, zero = field.one(), field.zero()
+    return [[one if i == j else zero for j in range(4)] for i in range(4)]
 
 
 def mat_inverse(field, a):
@@ -28,5 +45,5 @@ def mat_inverse(field, a):
 
 def dual_point(field, matrix, p):
     """The point p moved by the inverse transpose of matrix."""
-    mt = mat_transpose(mat_inverse(field, matrix))
+    mt = transpose(mat_inverse(field, matrix))
     return ProjectivePoint(tuple(sum(c * v for c, v in zip(row, p)) for row in mt))

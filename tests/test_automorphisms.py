@@ -17,13 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracle import dual_point, mat_inverse
+from dense_oracle import dual_point, identity_matrix, mat_inverse, mat_mul
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.freealg import FreeElement, apply_linear
 from quadralab.geometry import ProjectivePoint, point_table
-from quadralab.linalg import SparseEchelon, identity_matrix, mat_mul, mats_equal
+from quadralab.linalg import SparseEchelon
 from quadralab.poly import det4
-from quadralab.scalars import QQi, gaussian
+from quadralab.scalars import PrimeField, QQi, gaussian
 from quadralab.symmetry import (
     ChlPsi,
     LinearAutomorphism,
@@ -84,15 +84,14 @@ def test_compose_matches_mat_mul(scalars):
     rng, field, draw = scalars
     for _ in range(8):
         f, g = _random_map(rng, field, draw), _random_map(rng, field, draw)
-        assert mats_equal(f.compose(g).matrix, mat_mul(f.matrix, g.matrix))
+        assert f.compose(g).matrix == mat_mul(f.matrix, g.matrix)
 
 
 def test_inverse_matches_the_echelon_inverse(scalars):
     rng, field, draw = scalars
     for _ in range(6):
         f = _random_map(rng, field, draw)
-        assert mats_equal(f.inverse().matrix, mat_inverse(field, f.matrix))
-        assert mats_equal(f.inverse_matrix(), mat_inverse(field, f.matrix))
+        assert f.inverse().matrix == mat_inverse(field, f.matrix)
 
 
 def test_power_matches_repeated_products(scalars):
@@ -103,7 +102,7 @@ def test_power_matches_repeated_products(scalars):
         expected = identity_matrix(field)
         for _ in range(abs(n)):
             expected = mat_mul(forward if n > 0 else backward, expected)
-        assert mats_equal(f.power(n).matrix, expected)
+        assert f.power(n).matrix == expected
 
 
 def test_call_matches_apply_linear(scalars):
@@ -128,6 +127,12 @@ def test_is_scalar():
                                     for r in range(4)]).is_scalar() == c
     assert psi_maps(2, 3, 5)[0].power(4).is_scalar() is not None
     assert gamma_maps()[0].is_scalar() is None
+
+
+def test_prime_field_refused():
+    # F_p values are plain ints with no inverse(), so inverse() could not work
+    with pytest.raises(PreconditionViolated, match="psi1 needs scalars with inverse"):
+        psi_maps(2, 3, 5, field=PrimeField(13))
 
 
 def test_non_monomial_invertible_matrix_refused():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -213,6 +214,15 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "selftest", "--only", "A1", "A11")
         assert code == 0
         assert "PASS A1" in out and "PASS A11" in out
+
+    def test_selftest_stdout_is_the_verdict_alone(self, capsys):
+        # the wall time goes to stderr, so stdout is the same on any host
+        code, out, err = run_cli(capsys, "selftest", "--only", "A11")
+        assert code == 0
+        assert out == ("PASS A11: commutative quotient of degree 2 is the square-free span "
+                       "(dim 6, pivot monomials [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), "
+                       "(2, 3)])\n")
+        assert re.fullmatch(r"A11 \d+\.\ds\n", err)
 
     def test_selftest_json_is_one_document(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--only", "A9", "--format", "json")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from dense_oracle import mat_mul
 from quadralab.freealg import (
     FreeElement,
     anticommutator,
@@ -10,7 +11,6 @@ from quadralab.freealg import (
     index_word,
     word_index,
 )
-from quadralab.linalg import mat_mul
 from quadralab.scalars import QQi, gaussian
 
 

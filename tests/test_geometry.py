@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracle import transpose
 from quadralab import geometry
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.geometry import (
@@ -28,7 +29,6 @@ from quadralab.geometry import (
     verify_matrix_consistency,
     x_ring,
 )
-from quadralab.linalg import mat_transpose
 from quadralab.poly import PolyRing, det4, ideal_slice_membership, verify_slice_certificate
 from quadralab.scalars import QI_I, gaussian
 
@@ -47,7 +47,7 @@ def minor_matrices(params):
     else:
         ring = x_ring()
     return (ring, matrix_m(*params, ring),
-            mat_transpose(matrix_m_prime(*params, ring)))
+            transpose(matrix_m_prime(*params, ring)))
 
 
 MINOR_PARAMS = pytest.mark.parametrize(
@@ -253,7 +253,7 @@ class TestVerifyGamma:
         report = verify_gamma(4, 9, 25, 2, 3, 5)
         ring = x_ring()
         hs = cofactor_minors(matrix_m(4, 9, 25, ring))
-        gs = cofactor_minors(mat_transpose(matrix_m_prime(4, 9, 25, ring)))
+        gs = cofactor_minors(transpose(matrix_m_prime(4, 9, 25, ring)))
         expected = []
         for pair in MINOR_PAIRS:
             for p, pp in OffTable(2, 3, 5).graph():

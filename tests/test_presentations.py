@@ -322,7 +322,7 @@ class TestCommutativeQuotient:
 
 
 def test_x_to_z_matrix_inverts_the_half_sum_substitution():
-    from quadralab.linalg import identity_matrix, mat_mul
+    from dense_oracle import identity_matrix, mat_mul
 
     half = gaussian(Fraction(1, 2))
     zero = QQi.zero()

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from quadralab import symmetry
+from quadralab.cli import main
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.geometry import ProjectivePoint, point_table
-from quadralab.linalg import identity_matrix, mats_equal, proportional_matrices
 from quadralab.poly import FunctionField, PolyRing
 from quadralab.presentations import sklyanin_relations
 from quadralab.scalars import QI_I, QQi, gaussian
@@ -97,10 +98,21 @@ class TestGroupStructure:
         failing = [k for k, v in report.as_dict().items() if not v]
         assert not failing
 
+    def test_swapped_involutions_fail_exactly_the_squares(self, monkeypatch, capsys):
+        # negative control: with gamma2 and gamma3 swapped only the two
+        # squares that name them can fail (the Klein relations still hold)
+        g1, g2, g3 = gamma_maps()
+        monkeypatch.setattr(symmetry, "gamma_maps", lambda: (g1, g3, g2))
+        report = heisenberg_checks(2, 3, 5)
+        failing = [k for k, v in report.as_dict().items() if not v]
+        assert failing == ["psi2^2 = scalar * gamma2", "psi3^2 = scalar * gamma3"]
+        assert main(["autos", "--abc", "2,3,5"]) == 1
+        assert "psi2^2 = scalar * gamma2: False" in capsys.readouterr().out
+
     def test_square_scalar(self, psis):
         # psi1^2 is -i * (second root) * (third root) times the involution
         g1 = gamma_maps()[0]
-        scal = proportional_matrices(psis[0].compose(psis[0]).matrix, g1.matrix)
+        scal = psis[0].compose(psis[0]).compose(g1.inverse()).is_scalar()
         assert scal == gaussian(0, -15)
 
     def test_group_commutator_is_i(self, psis):
@@ -110,15 +122,14 @@ class TestGroupStructure:
 
     def test_composed_maps_invert_on_use(self, psis, table):
         prod = psis[0].compose(psis[1])
-        ident = identity_matrix(QQi)
-        assert mats_equal(prod.inverse().compose(prod).matrix, ident)
-        assert mats_equal(prod.compose(prod.inverse()).matrix, ident)
+        assert prod.inverse().compose(prod).is_scalar() == QQi.one()
+        assert prod.compose(prod.inverse()).is_scalar() == QQi.one()
         for p in table.points():
             step = psis[0].on_point(psis[1].on_point(p))
             assert prod.on_point(p) == step
             assert prod.inverse().on_point(step) == p
         inv = psis[0].inverse()
-        assert mats_equal(psis[0].power(-2).matrix, inv.compose(inv).matrix)
+        assert psis[0].power(-2).matrix == inv.compose(inv).matrix
 
     def test_singular_matrix_refused(self):
         with pytest.raises(DegenerateParameters, match="flat is singular"):
@@ -128,7 +139,7 @@ class TestGroupStructure:
     def test_dual_tables_are_inverses(self, psis):
         stated = contragredient_table(2, 3, 5)
         for t in range(3):
-            assert mats_equal(stated[t], psis[t].inverse().matrix)
+            assert stated[t] == psis[t].inverse().matrix
 
 
 class TestPointAction:
@@ -190,7 +201,7 @@ class TestChlPsi:
 
     def test_order_four_on_the_nose(self):
         psi = ChlPsi(1, 2, -4, 2)
-        assert mats_equal(psi.map.power(4).matrix, identity_matrix(psi.field))
+        assert psi.map.power(4).is_scalar() == psi.field.one()
         assert psi.map.compose(psi.map).matrix[0][0] == psi.field.coerce(-1)
 
     def test_rho3_sign_is_forced(self):
