@@ -10,13 +10,17 @@ sum c_ab mu_a(e) (x) x_b, and mu_a : A_{n-1} -> A_n, right multiplication
 by x_a, is known from the degree below.  Each degree eliminates 6*d_{n-2}
 rows against 4*d_{n-1} columns with the generic sparse echelon, over the
 relation space's own field (backend "exact") or over F_p for a prime
-p = 1 (mod 4) (backend "modular"), back-substitutes once, and reads mu_a
-off the reduced pivot rows: a pivot column's class in A_n is minus the
-rest of its row.  Over F_p the tower holds residues as the kernel does,
-as plain ints in [0, p) (Python integers, so nothing overflows): the
-relations are coerced once, and the rows built from them reach the
-kernel unreduced: it takes each value mod p, and drops it if it is zero,
-once, when its column comes up in the elimination.
+p = 1 (mod 4) (backend "modular"); its free columns give the basis of A_n,
+so a dimension needs no more.  The mu_a of degree n are read only when
+something asks for them (degree n + 1, a class or a normal form in degree
+n): the echelon is then back-substituted once, and mu_a read off the
+reduced pivot rows (a pivot column's class in A_n is minus the rest of
+its row).  So a Hilbert prefix never back-substitutes its top degree.
+Over F_p the tower holds residues as the kernel does, as plain ints in
+[0, p) (Python integers, so nothing overflows): the relations are
+coerced once, and the rows built from them reach the kernel unreduced:
+it takes each value mod p, and drops it if it is zero, once, when its
+column comes up in the elimination.
 Pivots are lex-first and the lex order is multiplicative within a degree,
 so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
@@ -94,10 +98,13 @@ class QuotientTower:
     """The graded pieces A_n over one field, built one degree at a time.
 
     ``words[n]`` holds the lex ranks of the basis words of A_n, increasing;
-    ``mu[n][j][i]`` is e_i * x_j as a sparse dict over the basis of A_n,
-    where e_i is the i-th basis element of A_{n-1}.  Degree n's echelon is
+    ``mu(n)[j][i]`` is e_i * x_j as a sparse dict over the basis of A_n,
+    where e_i is the i-th basis element of A_{n-1}.  Building degree n
+    eliminates its rows and reads ``words[n]`` off the pivots; its echelon
+    stays unreduced until ``mu(n)`` is first asked for.  It is then
     back-substituted once, so e_i * x_j on a pivot column is read off its
-    reduced row, with no reduction per column.
+    reduced row, with no reduction per column.  At most the top degree is
+    left unfinished.
     """
 
     def __init__(self, field, rows):
@@ -105,7 +112,8 @@ class QuotientTower:
         self.rows = rows          # the relations: column a*4+b -> coefficient of x_a x_b
         self.one = field.one()
         self.words = [[0], list(range(NGENS))]
-        self.mu = [None, [[{j: self.one}] for j in range(NGENS)]]
+        self._mu = [None, [[{j: self.one}] for j in range(NGENS)]]
+        self._open = None         # the top degree's echelon while its mu is unread
         self._tracked = {}        # degree -> the degree's rows, certificate-tracked
 
     def dimension(self, n: int) -> int:
@@ -113,18 +121,29 @@ class QuotientTower:
             self._extend()
         return len(self.words[n])
 
+    def mu(self, n: int):
+        """The maps mu_j : A_{n-1} -> A_n, back-substituting degree n if it is open."""
+        self.dimension(n)
+        if n == len(self._mu):
+            self._finish()
+        return self._mu[n]
+
     def _image_rows(self, n: int):
         """((i, relation index), row): the image of e_i * r in A_{n-1} (x) V.
 
         e_i runs over the basis of A_{n-2}; column = basis index * 4 + letter.
+        A row may keep an entry that cancelled to zero; the echelon drops it.
         """
-        below = self.mu[n - 1]
+        below = self.mu(n - 1)
+        rels = [[(*divmod(c, NGENS), v) for c, v in rel.items()] for rel in self.rows]
         for i in range(len(self.words[n - 2])):
-            for r, rel in enumerate(self.rows):
+            for r, rel in enumerate(rels):
                 row = {}
-                for c, v in rel.items():
-                    a, b = divmod(c, NGENS)
-                    _add_scaled(row, {k * NGENS + b: w for k, w in below[a][i].items()}, v)
+                for a, b, v in rel:
+                    for k, w in below[a][i].items():
+                        col = k * NGENS + b
+                        s = row.get(col)
+                        row[col] = v * w if s is None else s + v * w
                 yield (i, r), row
 
     def _extend(self):
@@ -133,10 +152,17 @@ class QuotientTower:
         ech = SparseEchelon(self.field)
         for _, row in self._image_rows(n):
             ech.insert(row)
+        self.words.append([prev[c // NGENS] * NGENS + c % NGENS
+                           for c in range(NGENS * len(prev)) if c not in ech.pivot_of])
+        self._open = ech
+
+    def _finish(self):
+        """Back-substitute the open top degree and read its mu off the reduced rows."""
+        ech, self._open = self._open, None
         ech.back_substitute()
+        prev = self.words[len(self._mu) - 1]
         free = [c for c in range(NGENS * len(prev)) if c not in ech.pivot_of]
         index = {c: k for k, c in enumerate(free)}
-        self.words.append([prev[c // NGENS] * NGENS + c % NGENS for c in free])
         mu = [[] for _ in range(NGENS)]
         for i in range(len(prev)):
             for j in range(NGENS):
@@ -145,14 +171,14 @@ class QuotientTower:
                     mu[j].append({index[col]: self.one})
                 else:
                     mu[j].append({index[c]: v for c, v in ech.pivot_residual(col).items()})
-        self.mu.append(mu)
+        self._mu.append(mu)
 
     def _project(self, vec: dict, n: int) -> dict:
-        """A vector of A_{n-1} (x) V mapped to A_n."""
+        """A vector of A_{n-1} (x) V mapped to A_n (degree n's mu already read)."""
         out = {}
         for col, v in vec.items():
             i, j = divmod(col, NGENS)
-            _add_scaled(out, self.mu[n][j][i], v)
+            _add_scaled(out, self._mu[n][j][i], v)
         return out
 
     def _image(self, terms: dict, n: int) -> dict:
@@ -175,7 +201,7 @@ class QuotientTower:
 
     def coordinates(self, f: FreeElement, n: int) -> dict:
         """The class of the degree-n element f in A_n, over the basis words[n]."""
-        self.dimension(n)
+        self.mu(n)
         return residues(self.field, self._project(self._image(residues(self.field, f.terms), n), n))
 
     def certificate(self, f: FreeElement, n: int):

@@ -69,7 +69,7 @@ class TestBackendCrossValidation:
             for n in range(2, 6):
                 assert modular.dimension(n) == exact.dimension(n)
                 assert modular.words[n] == exact.words[n]
-                for mod_j, exact_j in zip(modular.mu[n], exact.mu[n]):
+                for mod_j, exact_j in zip(modular.mu(n), exact.mu(n)):
                     assert mod_j == [mod_p(e) for e in exact_j]
                 for _ in range(10):
                     f = FreeElement()

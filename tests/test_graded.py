@@ -6,6 +6,7 @@ import pytest
 from quadralab.errors import DegreeCapExceeded, PreconditionViolated
 from quadralab.freealg import FreeElement, from_vector, generators
 from quadralab.graded import GradedQuotient, degree_cap, verify_certificate
+from quadralab.linalg import SparseEchelon, residues
 from quadralab.presentations import chl_relations, sklyanin_relations
 from quadralab.scalars import gaussian
 
@@ -192,6 +193,117 @@ class TestCertificates:
         assert cert is not None and verify_certificate(quotient.space, cert, h)
         # a pure power is never in the ideal when alpha*beta*gamma != 0
         assert quotient.membership_certificate(h + FreeElement.from_word((0,) * n, one)) is None
+
+
+def _seeded_member(space, n, rng):
+    """A seeded sum of w * r * w' in degree n."""
+    one = gaussian(1)
+    h = FreeElement()
+    for _ in range(3):
+        left = tuple(rng.randrange(4) for _ in range(rng.randrange(n - 1)))
+        right = tuple(rng.randrange(4) for _ in range(n - 2 - len(left)))
+        piece = (FreeElement.from_word(left, one) * space.elements[rng.randrange(6)]
+                 * FreeElement.from_word(right, one))
+        h = h + piece.scale(gaussian(rng.randint(1, 5), rng.randint(-2, 2)))
+    return h
+
+
+def _re_expands(quotient, backend, cert, h):
+    """cert re-expands to h; on the modular tower, mod p."""
+    if backend == "exact":
+        return verify_certificate(quotient.space, cert, h)
+    tower = quotient.tower(backend)
+    p = tower.field.p
+    expanded = {}
+    for left, r, right, lam in cert:
+        for c, v in tower.rows[r].items():
+            w = left + divmod(c, 4) + right
+            expanded[w] = (expanded.get(w, 0) + lam * v) % p
+    return {w: v for w, v in expanded.items() if v} == residues(tower.field, h.terms)
+
+
+class TestLazyMaps:
+    """Degree n is back-substituted only when its multiplication maps are read."""
+
+    N = 4
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        ranks = []
+        back_substitute = SparseEchelon.back_substitute
+
+        def counted(ech):
+            ranks.append(ech.rank)
+            back_substitute(ech)
+
+        monkeypatch.setattr(SparseEchelon, "back_substitute", counted)
+        return ranks
+
+    QUERIES = {
+        ("exact", "normal_form"): lambda q, f: q.normal_form(f),
+        ("exact", "contains"): lambda q, f: q.contains(f),
+        ("exact", "certificate"): lambda q, f: q.membership_certificate(f),
+        ("modular", "coordinates"): lambda q, f: q.tower("modular").coordinates(f, f.degree()),
+        ("modular", "certificate"): lambda q, f: q.tower("modular").certificate(f, f.degree()),
+    }
+
+    @pytest.mark.parametrize("backend, query", list(QUERIES))
+    def test_back_substitutions_follow_the_reads(self, calls, backend, query):
+        n = self.N
+        quotient = GradedQuotient(sklyanin_relations(2, 3, 5))
+        dims = quotient.hilbert_function(n, backend).dims
+        # degrees 2 .. n-1, each at its rank 4 * d_{m-1} - d_m
+        assert calls == [4 * dims[m - 1] - dims[m] for m in range(2, n)]
+        quotient.hilbert_function(n, backend)
+        assert len(calls) == n - 2
+        h = _seeded_member(quotient.space, n, random.Random(5))
+        self.QUERIES[backend, query](quotient, h)
+        # a certificate reads the maps of degrees below n only
+        assert len(calls) == n - 2 + (query != "certificate")
+        self.QUERIES[backend, "certificate"](quotient, h)
+        quotient.hilbert_function(n, backend)
+        assert len(calls) == n - 2 + (query != "certificate")
+        quotient.tower(backend).mu(n)
+        quotient.tower(backend).mu(n)
+        assert len(calls) == n - 1
+        quotient.hilbert_function(n + 1, backend)
+        assert len(calls) == n - 1
+
+    @pytest.mark.parametrize("backend", ["exact", "modular"])
+    @pytest.mark.parametrize("params, seed", [((2, 3, 5), 61), ((2, -3, Fraction(-1, 5)), 67)])
+    def test_query_order_changes_no_answer(self, params, seed, backend):
+        n = self.N
+        rng = random.Random(seed)
+        space = sklyanin_relations(*params)
+        elements = []
+        for _ in range(4):
+            f = FreeElement()
+            for _ in range(rng.randint(1, 5)):
+                word = tuple(rng.randrange(4) for _ in range(n))
+                f = f + FreeElement.from_word(word, gaussian(rng.randint(-5, 5), rng.randint(-2, 2)))
+            elements.append(f)
+        members = [_seeded_member(space, n, rng) for _ in range(4)]
+
+        def ask(order):
+            quotient = GradedQuotient(space)
+            tower = quotient.tower(backend)
+            answers = {}
+            for kind in order:
+                if kind == "dims":
+                    answers[kind] = quotient.hilbert_function(n, backend).dims
+                elif kind == "forms":
+                    answers[kind] = [{tower.words[n][k]: v
+                                      for k, v in tower.coordinates(f, n).items()}
+                                     for f in elements]
+                else:
+                    answers[kind] = [tower.certificate(h, n) for h in members]
+            for cert, h in zip(answers["certs"], members):
+                assert cert is not None and _re_expands(quotient, backend, cert, h)
+            answers["words"] = tower.words[:n + 1]
+            answers["mu"] = [tower.mu(m) for m in range(1, n + 1)]
+            return answers
+
+        assert ask(["dims", "forms", "certs"]) == ask(["certs", "forms", "dims"])
 
 
 class TestFunctionField:
