@@ -5,13 +5,15 @@ as exact literals, collections in fixed orders, and the payload carries
 the parameters, backend, and library version but no timestamps.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-says which), 2 invalid input.
+says which), 2 invalid input, 141 (128 + SIGPIPE) stdout was closed before
+the report was written out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -414,11 +416,24 @@ def build_parser():
     return parser
 
 
+#: the status a shell reports for a program that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); what is still buffered
+        # goes to /dev/null, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,14 @@ to right and never reintroduces a pivot column.  Pivot choice is therefore
 "lex-first", which makes normal forms canonical.
 
 Reduction is lazy: a row update neither tests for zero nor, over F_p,
-takes a remainder.  A column's value is settled when the column is popped
-(taken mod p once, dropped if it is zero), and every column of the vector
-is popped exactly once, so what the kernel returns is canonical.
+takes a remainder.  Over Q(i) the values under elimination are (x, y, d)
+int triples, not ``GaussianRational``s: a product is not reduced, and a sum
+is taken over the lcm of the two denominators and divided by its gcd only
+when that lcm is larger than both.  A column's value is settled when the
+column is popped (over F_p taken mod p, over Q(i) divided by one gcd into a
+``GaussianRational`` in normal form; dropped if it is zero), and every
+column of the vector is popped exactly once, so what the kernel returns is
+canonical.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
 quotient tower and Macaulay slices all use it.
@@ -29,8 +34,9 @@ certificate combos it would not update.
 from __future__ import annotations
 
 import heapq
+from math import gcd, lcm
 
-from .scalars import PrimeField
+from .scalars import GaussianRational, PrimeField, RationalField, _reduced
 
 
 def residues(field, vec):
@@ -59,6 +65,7 @@ class SparseEchelon:
         self.field = field
         self.track = track
         self.p = field.p if isinstance(field, PrimeField) else None
+        self.qi = isinstance(field, RationalField)
         self.rows = []        # list[dict[int, scalar]], leading col normalized to 1
         self.pivot_of = {}    # column -> row index
         self.combos = []      # parallel to rows when track=True
@@ -76,8 +83,10 @@ class SparseEchelon:
         A row's columns lie right of its pivot, so a popped column never
         comes back: each column enters the heap once, when it enters vec,
         and its value is settled when it leaves the heap.  combo values
-        are left unreduced.
+        are left unreduced, except over Q(i) (``_reduce_qi``).
         """
+        if self.qi:
+            return self._reduce_qi(vec, combo)
         p = self.p
         rows, pivot_of = self.rows, self.pivot_of
         heap = list(vec)
@@ -107,6 +116,44 @@ class SparseEchelon:
                 for k, v in self.combos[ridx].items():
                     s = combo.get(k)
                     combo[k] = neg * v if s is None else s + neg * v
+        return vec
+
+    def _reduce_qi(self, vec, combo):
+        """``_reduce`` over Q(i), on (x, y, d) int triples.
+
+        While a column is in the heap its value is a triple (x + y*i)/d with
+        d > 0, not necessarily reduced (``_subtract_multiple`` says when an
+        update reduces it).  When the column is popped its triple is settled
+        with one gcd into a ``GaussianRational`` (or dropped if it is zero),
+        so the pivot coefficient is in normal form before it is used.  combo
+        accumulates triples the same way and is settled once, at the end.
+        """
+        rows, pivot_of, combos = self.rows, self.pivot_of, self.combos
+        coerce = self.field.coerce
+        for c, v in vec.items():
+            if type(v) is not GaussianRational:
+                v = coerce(v)
+            vec[c] = (v.x, v.y, v.d)
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            col = heapq.heappop(heap)
+            x, y, d = vec[col]
+            if not (x or y):
+                del vec[col]
+                continue
+            coeff = _reduced(x, y, d)
+            ridx = pivot_of.get(col)
+            if ridx is None:
+                vec[col] = coeff
+                continue
+            del vec[col]
+            _subtract_multiple(vec, heap, coeff, rows[ridx], col)
+            if combo is not None:
+                _subtract_multiple(combo, None, coeff, combos[ridx], _NO_KEY)
+        if combo:
+            for k, t in combo.items():
+                combo[k] = _reduced(*t)
         return vec
 
     def reduce(self, vec):
@@ -169,6 +216,48 @@ class SparseEchelon:
         rest = dict(self.rows[self.pivot_of[col]])
         del rest[col]
         return _negated(rest, self.p)
+
+
+#: a skip for ``_subtract_multiple`` that no column or tag equals
+_NO_KEY = object()
+
+
+def _subtract_multiple(acc, heap, coeff, row, skip):
+    """acc -= coeff * row, on the triples of ``_reduce_qi``.
+
+    row holds ``GaussianRational``s; its column skip is left out.  A product
+    is not reduced, and each sum is taken over the lcm of the two
+    denominators.  Only when that lcm is larger than both is the sum divided
+    by its gcd, which keeps the denominators near their reduced size: left
+    to grow, their mean reaches about five times the bits of the settled
+    ones at degree 7 of the Sklyanin tower, and the lcms then cost more than
+    the gcds they replace.  A column new to acc is pushed on heap, if one is
+    given.
+    """
+    x, y, d = -coeff.x, -coeff.y, coeff.d
+    for c, v in row.items():
+        if c == skip:
+            continue
+        a, b, e = v.x, v.y, v.d
+        px, py, pd = x * a - y * b, x * b + y * a, d * e
+        s = acc.get(c)
+        if s is None:
+            acc[c] = (px, py, pd)
+            if heap is not None:
+                heapq.heappush(heap, c)
+        else:
+            sx, sy, sd = s
+            if sd == pd:
+                acc[c] = (sx + px, sy + py, pd)
+            else:
+                m = lcm(sd, pd)
+                u, w = m // sd, m // pd
+                sx, sy = sx * u + px * w, sy * u + py * w
+                if m != sd and m != pd:
+                    g = gcd(sx, sy, m)
+                    if g != 1:
+                        sx, sy, m = sx // g, sy // g, m // g
+                acc[c] = (sx, sy, m)
 
 
 def _scaled(vec, c, p):

@@ -1,9 +1,15 @@
+import fcntl
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quadralab.cli import main
+import quadralab
+from quadralab.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -235,3 +241,27 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "hilbert", "--alpha", "2x", "--beta",
                                "3", "--gamma", "5")
         assert code == 2
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a pipe of settable size")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_closing_early_is_exit_141_without_traceback(unbuffered):
+    # the 4.9 kB report overfills a one-page pipe, so the CLI is still
+    # writing when the reader stops, whatever the timing
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(quadralab.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadralab.cli", "points", "--abc", "2,3,5", "--format", "json"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    try:
+        assert os.read(read_fd, 16).startswith(b"{")
+    finally:
+        os.close(read_fd)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert err == b""

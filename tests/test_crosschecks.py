@@ -54,11 +54,13 @@ class TestBackendCrossValidation:
         # the two backends eliminate over different fields; where p divides
         # no denominator and no rank drops, the modular words, maps and
         # coordinates are the exact ones reduced mod p (the modular tower
-        # holds them as int residues)
+        # holds them as int residues); the last algebra has non-real
+        # coefficients, so i |-> s is checked through the whole tower
         rng = random.Random(43)
         for space in (sklyanin_relations(2, 3, 5),
                       sklyanin_relations(2, -3, Fraction(-1, 5)),
-                      chl_relations(1, 2, -4, 2)):
+                      chl_relations(1, 2, -4, 2),
+                      chl_relations(-2 * QI_I, 1, -QI_I, 2)):
             quotient = GradedQuotient(space)
             exact, modular = quotient.tower("exact"), quotient.tower("modular")
             field = modular.field

@@ -7,7 +7,9 @@ The properties pin ``back_substitute``: it keeps the row space, pivots and
 residuals, leaves each pivot row with free columns only besides its pivot,
 and leaves the echelon usable for further inserts.  Over F_p every value
 the kernel stores or returns is an int in [0, p), whatever int
-representatives it is given, and tracked combos re-expand to the input.
+representatives it is given, and tracked combos re-expand to the input;
+over Q(i) every such value is a nonzero ``GaussianRational`` in normal
+form, whatever mix of non-real values, ints and Fractions it is given.
 The dense oracle ``mat_inverse`` (``tests/dense_oracle.py``), built on the
 tracked kernel, returns int residues over F_p whatever int representatives
 it is given; ``det4(a) % p`` is its singularity oracle.
@@ -15,6 +17,7 @@ it is given; ``det4(a) % p`` is its singularity oracle.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from dense_oracle import identity_matrix, mat_inverse, mat_mul
 from quadralab.linalg import SparseEchelon
 from quadralab.poly import det4
-from quadralab.scalars import GaussianRational, PrimeField, QQi
+from quadralab.scalars import QI_I, GaussianRational, PrimeField, QQi
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -179,6 +182,71 @@ def test_prime_field_values_are_canonical_residues(data):
     for col in untracked.pivot_of:
         assert _canonical_residues(untracked.rows[untracked.pivot_of[col]])
         assert _canonical_residues(untracked.pivot_residual(col))
+
+
+def _normal_form(vec):
+    return all(type(v) is GaussianRational and v and v.d > 0 and gcd(v.x, v.y, v.d) == 1
+               for v in vec.values())
+
+
+def _expand_qi(combo, sources):
+    """sum combo[k] * sources[k] over Q(i), without its zeros."""
+    out = {}
+    for k, c in combo.items():
+        for col, v in sources[k].items():
+            out[col] = out.get(col, 0) + c * v
+    return {col: v for col, v in out.items() if v}
+
+
+#: non-real values with denominators up to 10^6, and some ints and Fractions
+_QI_INPUTS = st.one_of(
+    st.builds(lambda x, y, d: GaussianRational(Fraction(x, d), Fraction(y, d)),
+              st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
+              st.integers(1, 10**6)),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+@SEEDED
+@given(data=st.data())
+def test_gaussian_values_are_in_normal_form(data):
+    sources = _draw_rows(data, _QI_INPUTS, lambda v: v)
+    probes = [data.draw(_vectors(_QI_INPUTS)) for _ in range(4)]
+    ech = SparseEchelon(QQi, track=True)
+    for k, row in enumerate(sources):
+        ech.insert(row, tag=k)
+    for row, combo in zip(ech.rows, ech.combos):
+        assert _normal_form(row) and _normal_form(combo)
+        assert _expand_qi(combo, sources) == row
+    for v in probes:
+        residual = ech.reduce(v)
+        again, combo = ech.reduce_with_combo(v)
+        assert again == residual
+        assert _normal_form(residual) and _normal_form(combo)
+        # v = residual + sum combo[k] * source_k, exactly
+        expanded = _expand_qi(combo, sources)
+        for col, r in residual.items():
+            expanded[col] = expanded.get(col, 0) + r
+        assert {c: r for c, r in expanded.items() if r} == {c: r for c, r in v.items() if r}
+    untracked = _echelon(QQi, sources)
+    untracked.back_substitute()
+    for col in untracked.pivot_of:
+        assert _normal_form(untracked.rows[untracked.pivot_of[col]])
+        assert _normal_form(untracked.pivot_residual(col))
+        assert untracked.reduce({col: 1}) == untracked.pivot_residual(col)
+
+
+def test_default_tag_and_column_tags_re_expand_over_qi():
+    # a source left at tag=None, and tags equal to column indices, are combo
+    # keys like any other: none of them is taken for the pivot column
+    sources = {None: {0: 1, 1: 2}, 0: {0: 1, 1: 3, 2: QI_I}, 1: {1: 1, 2: 5}}
+    ech = SparseEchelon(QQi, track=True)
+    for tag, row in sources.items():
+        ech.insert(row, tag=tag)
+    v = {0: 2, 1: Fraction(1, 3), 2: 1}
+    residual, combo = ech.reduce_with_combo(v)
+    assert not residual
+    assert _expand_qi(combo, sources) == v
 
 
 def _f65537_matrix(rng):
