@@ -7,11 +7,17 @@ the parameters, backend, and library version but no timestamps.
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
 says which), 2 invalid input, 141 (128 + SIGPIPE) stdout was closed before
 the report was written out.
+
+The argument parser is built on the first call to ``main`` and reused by
+every later call in the same process.  That is safe: ``parse_args``
+returns a fresh ``Namespace`` each time and the parser keeps no state
+from one call to the next, errors included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -343,6 +349,7 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quadralab",

@@ -3,11 +3,14 @@
 Terms are stored as a dict from exponent tuples to GaussianRational
 coefficients with no zero entries.  The canonical order is graded
 lexicographic in the ring's declared variable order, which makes string
-output, leading terms, and "equal up to scalar" comparisons stable.
+output, leading terms, and "equal up to scalar" comparisons stable.  A
+product accumulates each coefficient as an unreduced (x, y, d) int triple
+and settles it with one gcd at the end.
 
 ``RationalFunction`` keeps num/den pairs.  Reduction is best effort
 (monomial content, a constant denominator, and exact-division probes in
-both directions; no gcd); equality is always decided by
+both directions; no gcd), and a unit denominator is already in that form,
+so it is left as it is; equality is always decided by
 cross-multiplication, which needs no gcd at all, and the hash is the
 leading-term ratio lt(num)/lt(den), the same for every representation.
 
@@ -21,10 +24,12 @@ and ``_one``; ``RationalFunction`` also ``inverse``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import NotInvertible
 from .linalg import SparseEchelon
-from .scalars import FieldOps, GaussianRational, QI_ONE, QI_ZERO, QQi, RingOps
+from .scalars import FieldOps, GaussianRational, QI_ONE, QI_ZERO, QQi, RingOps, _reduced
 
 
 class PolyRing:
@@ -147,16 +152,32 @@ class MultiPoly(RingOps):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        terms = {}
+        # each exponent's coefficient is a (x, y, d) triple, summed over the
+        # lcm of the denominators and settled once at the end.  A partial sum
+        # that cancels is dropped at once, so the terms keep the order of a
+        # product summed term by term, which split() and the slices follow.
+        acc = {}
         for e1, c1 in self.terms.items():
+            x1, y1, d1 = c1.x, c1.y, c1.d
             for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, QI_ZERO) + c1 * c2
-                if s:
-                    terms[exp] = s
+                exp = tuple(map(add, e1, e2))
+                x2, y2 = c2.x, c2.y
+                px, py, pd = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * c2.d
+                s = acc.get(exp)
+                if s is None:
+                    acc[exp] = (px, py, pd)
+                    continue
+                sx, sy, sd = s
+                if sd != pd:
+                    m = lcm(sd, pd)
+                    u, w = m // sd, m // pd
+                    sx, sy, px, py, pd = sx * u, sy * u, px * w, py * w, m
+                sx, sy = sx + px, sy + py
+                if sx or sy:
+                    acc[exp] = (sx, sy, pd)
                 else:
-                    terms.pop(exp, None)
-        return MultiPoly(self.ring, terms)
+                    del acc[exp]
+        return MultiPoly(self.ring, {exp: _reduced(*t) for exp, t in acc.items()})
 
     __rmul__ = __mul__
 
@@ -425,6 +446,8 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly):
     ring = num.ring
     if num.is_zero():
         return num, ring.one()
+    if den.terms == {(0,) * ring.nvars: QI_ONE}:
+        return num, den
     # shared monomial content: the least exponent of each variable
     common = tuple(map(min, zip(*num.terms, *den.terms)))
     if any(common):

@@ -73,6 +73,23 @@ class TestHilbert:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_reused_parser_keeps_no_state(self, capsys):
+        # the parser is built once per process: neither an earlier option
+        # nor an argparse error may reach a later call
+        args = ("hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",
+                "--degree", "3")
+        code, out, _ = run_cli(capsys, *args, "--mod-p", "65537", "--format", "json")
+        assert code == 0 and json.loads(out)["prime"] == 65537
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", "--degree", "three"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "prime" not in payload and payload["backend"] == "exact"
+        assert payload["dims"] == [1, 4, 10, 16]
+
     def test_cap_respected(self, capsys):
         code, out, err = run_cli(
             capsys, "hilbert", "--alpha", "2", "--beta", "3", "--gamma", "5",

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadralab.freealg import generators
 from quadralab.poly import (
     FunctionField,
+    MultiPoly,
     PolyRing,
     RationalFunction,
     det4,
@@ -13,7 +17,9 @@ from quadralab.poly import (
     proportionality_scalar,
     verify_slice_certificate,
 )
-from quadralab.scalars import gaussian
+from quadralab.scalars import GaussianRational, gaussian
+
+import qi_oracle
 
 
 @pytest.fixture
@@ -69,6 +75,56 @@ class TestMultiPoly:
         assert p.homogeneous_part(1) == b
 
 
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-30, 30).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+# a few exponents in two variables, so that term products collide
+_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(_parts, _parts).filter(any),
+    max_size=5,
+)
+
+
+def _oracle_product(f, g):
+    """{exp: qi_oracle value} of f * g, summed term by term in Fraction pairs."""
+    terms = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(exp, qi_oracle.GaussianRational()) + c1 * c2
+            if s:
+                terms[exp] = s
+            else:
+                terms.pop(exp, None)
+    return terms
+
+
+@SEEDED
+@given(p=_terms, q=_terms, cancel=st.booleans())
+def test_product_matches_the_oracle(p, q, cancel):
+    # with cancel, the factors are p + q and p - q: every cross term cancels
+    ring = PolyRing(("a", "b"))
+    f, g = (MultiPoly(ring, {e: GaussianRational(*c) for e, c in t.items()})
+            for t in (p, q))
+    if cancel:
+        f, g = f + g, f - g
+    product = (f * g).terms
+    expected = _oracle_product(
+        *({e: qi_oracle.GaussianRational(c.re, c.im) for e, c in h.terms.items()}
+          for h in (f, g)))
+    assert list(product) == list(expected)
+    for exp, z in product.items():
+        assert type(z) is GaussianRational
+        assert z and z.d > 0 and gcd(z.x, z.y, z.d) == 1
+        assert (z.re, z.im) == (expected[exp].re, expected[exp].im)
+
+
 class TestRationalFunction:
     def test_cross_multiplied_equality(self, ring):
         a, b, c, d = ring.gens()
@@ -92,6 +148,14 @@ class TestRationalFunction:
         f = RationalFunction(a, b.scale(gaussian(3)))
         _, lc = f.den.leading()
         assert lc == gaussian(1)
+        # a unit denominator is kept as it is; other ones still reduce
+        x, y = RationalFunction(a + b), RationalFunction(a * b - gaussian(0, 1))
+        assert (x * y).den == ring.one() and (x + y).den == ring.one()
+        assert (x * y).num == (a + b) * (a * b - gaussian(0, 1))
+        half = RationalFunction(a.scale(gaussian(2)), ring.constant(2))
+        assert half.num == a and half.den == ring.one()
+        q = RationalFunction(a * a - b * b, a - b)
+        assert q.num == a + b and q.den == ring.one()
 
     def test_field_ops_random(self, ring):
         rng = random.Random(31)
