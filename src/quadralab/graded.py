@@ -11,11 +11,16 @@ by x_a, is known from the degree below.  Each degree eliminates 6*d_{n-2}
 rows against 4*d_{n-1} columns with the generic sparse echelon, over the
 relation space's own field (backend "exact") or over F_p for a prime
 p = 1 (mod 4) (backend "modular"); its free columns give the basis of A_n,
-so a dimension needs no more.  The mu_a of degree n are read only when
-something asks for them (degree n + 1, a class or a normal form in degree
-n): the echelon is then back-substituted once, and mu_a read off the
-reduced pivot rows (a pivot column's class in A_n is minus the rest of
-its row).  So a Hilbert prefix never back-substitutes its top degree.
+so a dimension needs no more.  The rows go in by decreasing leading
+column, which stores a third to a half of the entries that generation
+order does (``_extend`` gives counts); no order can change the basis or mu,
+since the pivots and the reduced rows depend only on the row space.  The
+certificate-tracked copy of the rows keeps generation order.  The mu_a of
+degree n are read only when something asks for them (degree n + 1, a class
+or a normal form in degree n): the echelon is then back-substituted once,
+and mu_a read off the reduced pivot rows (a pivot column's class in A_n is
+minus the rest of its row).  So a Hilbert prefix never back-substitutes
+its top degree.
 Over F_p the tower holds residues as the kernel does, as plain ints in
 [0, p) (Python integers, so nothing overflows): the relations are
 coerced once, and the rows built from them reach the kernel unreduced:
@@ -147,10 +152,25 @@ class QuotientTower:
                 yield (i, r), row
 
     def _extend(self):
+        """Eliminate degree n's image rows and read ``words[n]`` off the pivots.
+
+        The rows go in by decreasing leading (smallest) column, an empty row
+        last, so a row meets only pivots at or right of its leading column,
+        whose rows in turn met only pivots at or right of theirs.
+        Generation order mixes the two ends and fills the rows in: at
+        A(2,-3,-1/5) the unreduced degree-6 echelon stores 1,449 entries
+        this way against 3,897, and the degree-7 one 2,658 against 8,837,
+        its largest coefficient 145 bits against 203.  The order cannot
+        change ``words`` or mu: the lex-first pivots depend only on the row
+        space, and so does the back-substituted form that ``_finish`` reads.
+        ``certificate`` keeps generation order, so certificates do not move.
+        """
         n = len(self.words)
         prev = self.words[n - 1]
         ech = SparseEchelon(self.field)
-        for _, row in self._image_rows(n):
+        rows = [row for _, row in self._image_rows(n)]
+        rows.sort(key=lambda row: min(row, default=-1), reverse=True)
+        for row in rows:
             ech.insert(row)
         self.words.append([prev[c // NGENS] * NGENS + c % NGENS
                            for c in range(NGENS * len(prev)) if c not in ech.pivot_of])
