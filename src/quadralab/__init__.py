@@ -15,11 +15,10 @@ __version__ = "0.1.0"
 
 from .scalars import BigRational, GaussianRational, PrimeField, QQi, gaussian, parse_scalar
 from .poly import FunctionField, MultiPoly, PolyRing, RationalFunction
-from .extension import adjoin_fourth_root, adjoin_root, adjoin_square_root
+from .extension import adjoin_fourth_root, adjoin_square_root
 from .freealg import FreeElement, anticommutator, apply_linear, commutator, generators
 from .presentations import (
     CHLParams,
-    SklyaninParams,
     RelationSpace,
     angle_invariant,
     chl_relations,
@@ -51,7 +50,6 @@ __all__ = [
     "PolyRing",
     "RationalFunction",
     "adjoin_fourth_root",
-    "adjoin_root",
     "adjoin_square_root",
     "FreeElement",
     "anticommutator",
@@ -59,7 +57,6 @@ __all__ = [
     "commutator",
     "generators",
     "CHLParams",
-    "SklyaninParams",
     "RelationSpace",
     "angle_invariant",
     "chl_relations",

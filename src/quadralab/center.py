@@ -399,13 +399,3 @@ def uqsl2_generator_search(alpha):
                         solutions.append(assignment)
     return solutions, degenerate
 
-
-def literal_assignment_fails(alpha) -> bool:
-    """The assignment Y+ = K = x0+x1, Y- = K' = x0-x1 is degenerate and
-    fails the braiding relation K Y+ = -i Y+ K in A(alpha, 1, -1), alpha in Q(i)."""
-    quotient = GradedQuotient(sklyanin_relations(alpha, 1, -1))
-    x = generators()
-    yp = x[0] + x[1]
-    k = x[0] + x[1]
-    rel = k * yp + (yp * k).scale(QI_I)
-    return not quotient.contains(rel)

@@ -32,23 +32,6 @@ class ExtensionField:
         self.power = power
         self.radicand = radicand
 
-    # -- tower bookkeeping -------------------------------------------------
-
-    def tower(self):
-        """All (symbol, power, radicand) levels, innermost first."""
-        levels = []
-        field = self
-        while isinstance(field, ExtensionField):
-            levels.append((field.symbol, field.power, field.radicand))
-            field = field.base
-        return list(reversed(levels))
-
-    def total_degree(self) -> int:
-        deg = 1
-        for _, n, _ in self.tower():
-            deg *= n
-        return deg
-
     # -- constructors --------------------------------------------------------
 
     def element(self, coeffs) -> "ExtensionElement":
@@ -95,10 +78,6 @@ class ExtensionField:
 
     def __repr__(self):
         return f"{self.base!r}[{self.symbol}; {self.symbol}^{self.power}={self.radicand}]"
-
-
-def adjoin_root(base, symbol: str, power: int, radicand) -> ExtensionField:
-    return ExtensionField(base, symbol, power, radicand)
 
 
 def adjoin_fourth_root(base, symbol: str, radicand) -> ExtensionField:

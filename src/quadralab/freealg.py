@@ -123,9 +123,6 @@ class FreeElement:
     def degrees(self):
         return sorted({len(w) for w in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         """Degree of a homogeneous element; -1 for zero."""
         degs = self.degrees()

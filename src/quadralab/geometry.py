@@ -28,6 +28,7 @@ from .poly import (
     det4,
     ideal_slice_membership,
     proportionality_scalar,
+    verify_slice_certificate,
 )
 from .presentations import sklyanin_relations
 from .scalars import QI_I, QI_ONE, QI_ZERO, QQi
@@ -337,7 +338,7 @@ def minors_vanish_on_common_quadric_locus(alpha, beta, gamma):
     """When the parameter sum vanishes, every minor lies in (q, q1).
 
     Checked by slice membership of each 4x4 minor in the degree-4 part of
-    the ideal generated by q and q1.
+    the ideal generated by q and q1; each certificate is re-expanded.
     """
     al, be, ga = (QQi.coerce(v) for v in (alpha, beta, gamma))
     if al + be + ga + al * be * ga:
@@ -347,9 +348,11 @@ def minors_vanish_on_common_quadric_locus(alpha, beta, gamma):
     out = {}
     for pair, h in maximal_minors(matrix_m(al, be, ga, ring)).items():
         ok, cert = ideal_slice_membership(h, [q, q1], 4)
-        out[pair] = ok
         if not ok:
             raise AssertionError(f"minor {pair} is not in (q, q1)")
+        if not verify_slice_certificate(h, [q, q1], cert):
+            raise AssertionError(f"the certificate of minor {pair} does not re-expand")
+        out[pair] = ok
     return out
 
 
@@ -709,8 +712,8 @@ def curve_relations_certificate(alpha=None):
     certificates hold for every alpha; otherwise alpha is a Q(i) value.
     The product is computed in the commutative coordinate ring; membership
     of each (degree-2) entry in x0..x3 is certified by slice membership
-    with degree bound 4.  Returns the list of certificates, one per matrix
-    row.
+    with degree bound 4, and each certificate is re-expanded.  Returns the
+    list of certificates, one per matrix row.
     """
     if alpha is None:
         ring = PolyRing(("alpha",) + X_VARS)
@@ -730,5 +733,7 @@ def curve_relations_certificate(alpha=None):
         ok, cert = ideal_slice_membership(entry, gens, 4, main_names=X_VARS)
         if not ok:
             raise AssertionError("matrix-times-sigma entry is outside the curve ideal")
+        if not verify_slice_certificate(entry, gens, cert, main_names=X_VARS):
+            raise AssertionError("a matrix-times-sigma certificate does not re-expand")
         certificates.append(cert)
     return certificates

@@ -195,22 +195,12 @@ class MultiPoly(RingOps):
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
-
-    def coefficient(self, exponents) -> GaussianRational:
-        return self.terms.get(tuple(exponents), QI_ZERO)
 
     def constant_term(self) -> GaussianRational:
         return self.terms.get((0,) * self.ring.nvars, QI_ZERO)

@@ -13,7 +13,7 @@ space inside the 16-dimensional degree-2 component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateParameters,
@@ -106,37 +106,6 @@ class RelationSpace:
 
 
 @dataclass(frozen=True)
-class SklyaninParams:
-    alpha: object
-    beta: object
-    gamma: object
-
-    @property
-    def product(self):
-        return self.alpha * self.beta * self.gamma
-
-    @property
-    def sigma_pi(self):
-        """alpha + beta + gamma + alpha*beta*gamma."""
-        return self.alpha + self.beta + self.gamma + self.product
-
-    @property
-    def product_nonzero(self) -> bool:
-        return bool(self.product)
-
-    def is_sklyanin(self) -> bool:
-        return not self.sigma_pi
-
-    def nondegenerate(self) -> bool:
-        vals = (self.alpha, self.beta, self.gamma)
-        bad = any(not v or v == 1 or v == -1 for v in vals)
-        return self.is_sklyanin() and not bad
-
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.gamma)
-
-
-@dataclass(frozen=True)
 class CHLParams:
     a: object
     b: object
@@ -182,17 +151,6 @@ class CHLParams:
 
     def vanishing_factors(self):
         return [name for name, value in self.genericity_factors() if not value]
-
-    def is_generic(self) -> bool:
-        return not self.vanishing_factors()
-
-    def normalized(self):
-        """Scale so the first nonzero coordinate is 1 (projective form)."""
-        for v in (self.a, self.b, self.c, self.d):
-            if v:
-                inv = v.inverse()
-                return tuple(x * inv for x in (self.a, self.b, self.c, self.d))
-        raise DegenerateParameters("zero tuple")
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)
@@ -438,11 +396,6 @@ class Classification:
     special_alpha: object = None    # the alpha of A(alpha,1,-1) on l1/l2
     correspondence: SklyaninCorrespondence = None
     vanishing: tuple = ()
-    diagnostics: dict = dc_field(default_factory=dict)
-
-    @property
-    def is_sklyanin_locus(self) -> bool:
-        return self.locus in ("l1", "l2")
 
 
 def classify_chl(a, b, c, d) -> Classification:
@@ -450,9 +403,7 @@ def classify_chl(a, b, c, d) -> Classification:
     a, b, c, d = (QQi.coerce(v) for v in (a, b, c, d))
     params = CHLParams(a, b, c, d)
     if not params.on_quadric:
-        return Classification(
-            "off-quadric", diagnostics={"ac+bd": params.quadric_value}
-        )
+        return Classification("off-quadric")
     i = QI_I
     on_l1 = not (a + i * d) and not (c + i * b)
     on_l2 = not (a - i * d) and not (c - i * b)
@@ -466,19 +417,12 @@ def classify_chl(a, b, c, d) -> Classification:
         v = b + d - i * b + i * d
         if locus == "l2":
             u, v = v, u
-        special = None
-        diag = {}
-        if v:
-            special = (u * u) / (v * v)
-        else:
-            diag["special_alpha"] = "denominator vanishes"
         return Classification(
             locus,
             excluded=bool(vanishing),
-            special_alpha=special,
+            special_alpha=(u * u) / (v * v) if v else None,
             correspondence=corr,
             vanishing=vanishing,
-            diagnostics=diag,
         )
     if vanishing:
         return Classification("degenerate", vanishing=vanishing)

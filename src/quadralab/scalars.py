@@ -180,10 +180,6 @@ class GaussianRational(FieldOps):
     def __pos__(self):
         return self
 
-    def norm(self) -> Fraction:
-        """re^2 + im^2; zero exactly when the element is zero."""
-        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
-
     def inverse(self):
         x, y, d = self.x, self.y, self.d
         if not y:

@@ -16,17 +16,22 @@ from .center import (
     chl_symbolic_central,
     sklyanin_central_pair,
     squares_identity_report,
+    uqsl2_generator_search,
 )
+from .errors import InvalidInput
 from .freealg import generators
 from .geometry import (
     CurveContext,
     ProjectivePoint,
     curve_relations_certificate,
+    eight_points,
     minor_factorization_report,
+    minors_vanish_on_common_quadric_locus,
     point_table,
     quadric_determinant,
     sigma_point,
     verify_gamma,
+    verify_matrix_consistency,
 )
 from .graded import GradedQuotient
 from .poly import FunctionField, PolyRing
@@ -37,9 +42,10 @@ from .presentations import (
     chl_to_sklyanin_params,
     classify_chl,
     commutative_quotient_deg2,
+    scaled_basis_matches_sklyanin_form,
     sklyanin_relations,
 )
-from .scalars import QI_I, QQi, gaussian
+from .scalars import QI_I, QI_ONE, QQi, gaussian
 from .symmetry import (
     ChlPsi,
     LinearAutomorphism,
@@ -96,7 +102,9 @@ def a2_hilbert_generic():
 
 def a3_point_scheme():
     report = verify_gamma(4, 9, 25, 2, 3, 5)
-    return report.all_pass(), "; ".join(report.failures) or "all four assertions hold"
+    eight_points(2, 3, 5)  # raises unless the eight points are distinct common zeros
+    gamma = "; ".join(report.failures) or "all four assertions hold"
+    return report.all_pass(), f"{gamma}, eight-point lemma holds"
 
 
 def a4_minor_factorizations():
@@ -105,7 +113,12 @@ def a4_minor_factorizations():
     al, be, ga = ring.gens()
     sp = al + be + ga + al * be * ga
     det_ok = quadric_determinant(al, be, ga) == -(sp * sp)
-    return len(report) == 15 and det_ok, f"{len(report)} factorizations, qdet identity {det_ok}"
+    # both raise when a matrix row, a membership or a certificate fails
+    verify_matrix_consistency(4, 9, 25)
+    minors_vanish_on_common_quadric_locus(2, -3, Fraction(-1, 5))
+    return len(report) == 15 and det_ok, (
+        f"{len(report)} factorizations, qdet identity {det_ok}, M and M' rows are "
+        "the relations, minors in (q, q1) at the Sklyanin point")
 
 
 def a5_centrality():
@@ -225,8 +238,11 @@ def a9_chl_correspondence():
         c = classify_chl(*[gaussian(v) if not isinstance(v, str) else QQi.coerce(v)
                            for v in tup])
         excluded_ok = excluded_ok and c.locus == "l2" and c.excluded
-    ok = vals_ok and l1_ok and excluded_ok
-    return ok, (f"map {vals_ok}, line point {l1_ok}, 12 excluded flagged {excluded_ok}")
+    scaled_ok = (scaled_basis_matches_sklyanin_form(1, 2, -4, 2)
+                 and scaled_basis_matches_sklyanin_form(gaussian(0, -2), 1, gaussian(0, -1), 2))
+    ok = vals_ok and l1_ok and excluded_ok and scaled_ok
+    return ok, (f"map {vals_ok}, line point {l1_ok}, 12 excluded flagged {excluded_ok}, "
+                f"scaled basis presents A(alpha, beta_presented, gamma) {scaled_ok}")
 
 
 def a10_elliptic_data():
@@ -253,6 +269,20 @@ def a11_commutative_quotient():
     return ok, f"dim {dim}, pivot monomials {pivots}"
 
 
+def a12_uqsl2_generators():
+    alpha = Fraction(-1, 4)
+    solutions, degenerate = uqsl2_generator_search(alpha)
+    search_ok = bool(solutions) and not degenerate
+    # negative control: K = Y+ = x0+x1 fails K Y+ = -i Y+ K, which reads (1+i)(x0+x1)^2
+    x = generators()
+    k = x[0] + x[1]
+    quotient = GradedQuotient(sklyanin_relations(alpha, 1, -1))
+    control_ok = not quotient.contains((k * k).scale(QI_ONE + QI_I))
+    return search_ok and control_ok, (
+        f"{len(solutions)} assignments, {len(degenerate)} degenerate, "
+        f"K = Y+ = x0+x1 rejected {control_ok}")
+
+
 ACCEPTANCE = (
     ("A1", "exact Hilbert prefix of the Sklyanin point matches the polynomial ring",
      a1_hilbert_sklyanin),
@@ -276,14 +306,18 @@ ACCEPTANCE = (
      a10_elliptic_data),
     ("A11", "commutative quotient of degree 2 is the square-free span",
      a11_commutative_quotient),
+    ("A12", "U_q(gl2)-style generators Y+, Y-, K, K' of A(-1/4,1,-1)",
+     a12_uqsl2_generators),
 )
 
 
 def run_acceptance(names=None):
-    """Run all (or the named) acceptance criteria; returns CheckResults."""
-    results = []
-    for name, description, fn in ACCEPTANCE:
-        if names and name not in names:
-            continue
-        results.append(_check(name, description, fn))
-    return results
+    """Run all (or the named) acceptance criteria; returns CheckResults.
+
+    A name that is not a criterion raises InvalidInput before anything runs.
+    """
+    unknown = sorted(set(names or ()) - {name for name, _, _ in ACCEPTANCE})
+    if unknown:
+        raise InvalidInput(f"no acceptance criterion named {', '.join(unknown)}")
+    return [_check(name, description, fn) for name, description, fn in ACCEPTANCE
+            if not names or name in names]

@@ -217,19 +217,6 @@ def preserves_relations(phi: LinearAutomorphism, space: RelationSpace) -> bool:
     return RelationSpace(space.field, [phi(e) for e in space.elements]).spans_same(space)
 
 
-def permutation_type_map(lambdas, cyclic) -> LinearAutomorphism:
-    """x0 -> l0 xi, xi -> li x0, xj -> lj xk, xk -> lk xj, scalars in Q(i)."""
-    l0, li, lj, lk = (QQi.coerce(v) for v in lambdas)
-    i, j, k = cyclic
-    zero = QI_ZERO
-    m = [[zero] * 4 for _ in range(4)]
-    m[i][0] = l0
-    m[0][i] = li
-    m[k][j] = lj
-    m[j][k] = lk
-    return LinearAutomorphism(QQi, m, label="perm-type")
-
-
 def sklyanin_criterion(lambdas, alphas, cyclic) -> bool:
     """The three scalar conditions for a permute-and-scale map to extend.
 
@@ -487,7 +474,3 @@ class ChlPsi:
             image = self.map(source)
             out[f"{name} is the stated relation multiple"] = image == expected
         return out
-
-    def preserves_z_relations(self) -> bool:
-        results = self.verify()
-        return all(v for k, v in results.items() if k.startswith("psi("))

@@ -9,7 +9,6 @@ from quadralab.center import (
     chl_z1_central,
     chl_z2,
     chl_z2_central,
-    literal_assignment_fails,
     sklyanin_central_pair,
     squares_identity_report,
     uqsl2_generator_search,
@@ -146,9 +145,6 @@ class TestZ2:
 
 
 class TestGeneratorSearch:
-    def test_literal_assignment_fails(self):
-        assert literal_assignment_fails(Fraction(-1, 4))
-
     def test_search_finds_the_working_assignment(self):
         solutions, degenerate = uqsl2_generator_search(Fraction(-1, 4))
         assert not degenerate

@@ -254,6 +254,13 @@ class TestOtherCommands:
         assert result["name"] == "A9" and result["passed"]
         assert result["seconds"] >= 0
 
+    def test_selftest_unknown_criterion_is_exit_two(self, capsys):
+        # an unknown name refuses the whole run, the known ones included
+        code, out, err = run_cli(capsys, "selftest", "--only", "A1", "A99", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no acceptance criterion named A99\n"
+
     def test_malformed_scalar_is_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "hilbert", "--alpha", "2x", "--beta",
                                "3", "--gamma", "5")

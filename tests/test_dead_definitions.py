@@ -1,10 +1,11 @@
-"""Every top-level function and class of the package is read somewhere.
+"""Every top-level function and class of the package is read by the program.
 
-A stdlib-``ast`` scan over the package, the tests and ``perfbench``: a
-definition is live when its name is read (as a name, or as the attribute
-of a module or an object) in some scanned file outside its own body.  A
-recursive call, an import or an ``__all__`` entry does not keep a
-definition alive.
+A stdlib-``ast`` scan over the package and ``perfbench``: a definition is
+live when its name is read (as a name, or as the attribute of a module or
+an object) in some scanned file outside its own body.  A recursive call,
+an import or an ``__all__`` entry does not keep a definition alive, and
+neither does a test: the tests are not scanned, so a definition that only
+tests read is dead.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "quadralab").glob("*.py"))
-FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+FILES = sorted([*PACKAGE, *(ROOT / "perfbench").glob("*.py")])
 
 
 def names_read(tree):

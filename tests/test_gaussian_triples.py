@@ -46,7 +46,6 @@ def _agrees(z, ref):
     assert hash(z) == hash(ref)
     assert str(z) == str(ref)
     assert bool(z) == bool(ref)
-    assert z.norm() == ref.norm()
 
 
 OPS = {

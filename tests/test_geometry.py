@@ -313,6 +313,20 @@ class TestCurve:
         certs = curve_relations_certificate(Fraction(-1, 4))
         assert len(certs) == 6
 
+    @pytest.mark.parametrize("check", [
+        lambda: curve_relations_certificate(),
+        lambda: minors_vanish_on_common_quadric_locus(2, -3, Fraction(-1, 5)),
+    ], ids=["curve", "minors"])
+    def test_tampered_certificate_is_refused(self, monkeypatch, check):
+        def tampered(f, generators, degree_bound, main_names=None):
+            ok, cert = ideal_slice_membership(f, generators, degree_bound, main_names)
+            # one extra term: the certificate now sums to f + g_0
+            return ok, cert + [(0, (0, 0, 0, 0), gaussian(1))]
+
+        monkeypatch.setattr(geometry, "ideal_slice_membership", tampered)
+        with pytest.raises(AssertionError, match="re-expand"):
+            check()
+
     @pytest.mark.parametrize("alpha", [None, Fraction(-1, 4)],
                              ids=["symbolic", "numeric"])
     def test_certificates_reexpand_to_the_entries(self, alpha):

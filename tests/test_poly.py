@@ -67,13 +67,6 @@ class TestMultiPoly:
         q = p.substitute({"a": b})
         assert q == b * b - b
 
-    def test_homogeneous_parts(self, ring):
-        a, b, _, _ = ring.gens()
-        p = a * a + b
-        assert not p.is_homogeneous()
-        assert p.homogeneous_part(2) == a * a
-        assert p.homogeneous_part(1) == b
-
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
