@@ -27,7 +27,7 @@ from .freealg import (
     generators,
 )
 from .graded import GradedQuotient
-from .poly import FunctionField, PolyRing
+from .poly import FunctionField, PolyRing, ideal_slice_membership
 from .presentations import (
     CHLParams,
     chl_z_relations,
@@ -298,8 +298,6 @@ def chl_identity_report():
     equals 2(ab+cd)(p^2 q^2 - r^2 s^2) modulo the quadric polynomial
     ac+bd, certified by slice membership.
     """
-    from .poly import ideal_slice_membership, verify_slice_certificate
-
     ring = PolyRing(("a", "b", "c", "d"))
     a, b, c, d = ring.gens()
     p, q, r, s = a + b, a - b, c + d, c - d
@@ -316,10 +314,8 @@ def chl_identity_report():
         + (r * r - p * p) * (p * p - s * s) * c * d
     )
     rhs = ((a * b + c * d) * (p * p * q * q - r * r * s * s)).scale(GaussianRational(2))
-    ok, cert = ideal_slice_membership(lhs - rhs, [a * c + b * d], 6)
-    report["sum-product-combination"] = ok and verify_slice_certificate(
-        lhs - rhs, [a * c + b * d], cert
-    )
+    report["sum-product-combination"] = (
+        ideal_slice_membership(lhs - rhs, [a * c + b * d]) is not None)
     return report
 
 

@@ -181,7 +181,7 @@ def cmd_verify_gamma(args):
 
 
 def cmd_minors(args):
-    if args.alpha is None:
+    if args.alpha is None and args.beta is None and args.gamma is None:
         report = minor_factorization_report()
         params = {"alpha": "symbolic", "beta": "symbolic", "gamma": "symbolic"}
     else:

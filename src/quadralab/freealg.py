@@ -132,9 +132,6 @@ class FreeElement:
             raise ValueError(f"element is not homogeneous: degrees {degs}")
         return degs[0]
 
-    def homogeneous_part(self, n: int):
-        return FreeElement({w: c for w, c in self.terms.items() if len(w) == n})
-
     def coefficient_vector(self, n: int) -> dict:
         """Sparse coordinates of the degree-n part in the lex word basis."""
         return {word_index(w): c for w, c in self.terms.items() if len(w) == n}

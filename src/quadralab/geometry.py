@@ -28,7 +28,6 @@ from .poly import (
     det4,
     ideal_slice_membership,
     proportionality_scalar,
-    verify_slice_certificate,
 )
 from .presentations import sklyanin_relations
 from .scalars import QI_I, QI_ONE, QI_ZERO, QQi
@@ -77,29 +76,18 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _rows_of_bilinear_matrix(matrix, ring, transpose=False):
-    """Degree-2 coefficient rows of M x^T (or x M' when transpose=True)."""
-    x_index = {v: k for k, v in enumerate(X_VARS)}
-    rows = []
-    count = len(matrix[0]) if transpose else len(matrix)
-    for t in range(count):
-        entries = [matrix[k][t] for k in range(4)] if transpose else matrix[t]
-        row = {}
-        for j, entry in enumerate(entries):
-            for exp, coeff in entry.terms.items():
-                k = _linear_letter(exp, ring)
-                idx = (j * 4 + k) if transpose else (k * 4 + j)
-                row[idx] = row.get(idx, QQi.zero()) + coeff
-        rows.append({c: v for c, v in row.items() if v})
-    return rows
-
-
 def _linear_letter(exp, ring):
     letters = [k for k, e in enumerate(exp) if e]
     if len(letters) != 1 or exp[letters[0]] != 1:
         raise ValueError("matrix entries must be linear forms in x0..x3")
     name = ring.variables[letters[0]]
     return X_VARS.index(name)
+
+
+def _linear_coefficients(matrix, ring):
+    """Each entry of a matrix of linear forms as its (letter, coefficient) pairs."""
+    return [[[(_linear_letter(e, ring), c) for e, c in entry.terms.items()]
+             for entry in row] for row in matrix]
 
 
 def verify_matrix_consistency(alpha, beta, gamma) -> dict:
@@ -112,10 +100,12 @@ def verify_matrix_consistency(alpha, beta, gamma) -> dict:
     """
     space = sklyanin_relations(alpha, beta, gamma)
     ring = x_ring()
-    m_rows = _rows_of_bilinear_matrix(matrix_m(alpha, beta, gamma, ring), ring)
-    mp_rows = _rows_of_bilinear_matrix(
-        matrix_m_prime(alpha, beta, gamma, ring), ring, transpose=True
-    )
+    m = _linear_coefficients(matrix_m(alpha, beta, gamma, ring), ring)
+    mpt = _linear_coefficients(_transpose(matrix_m_prime(alpha, beta, gamma, ring)), ring)
+    # a relation row is indexed 4 * (left letter) + (right letter); the entries
+    # of M stand left of x_j, those of M' right of x_j
+    m_rows = [{k * 4 + j: c for j, entry in enumerate(row) for k, c in entry} for row in m]
+    mp_rows = [{j * 4 + k: c for j, entry in enumerate(row) for k, c in entry} for row in mpt]
     report = {"m_matches": [], "m_prime_matches": []}
     for label, rows, key in (("M", m_rows, "m_matches"),
                              ("M'", mp_rows, "m_prime_matches")):
@@ -206,13 +196,9 @@ def quadric_determinant(alpha, beta, gamma):
     Works for numeric or symbolic parameters; equals the negative square
     of alpha+beta+gamma+alpha*beta*gamma.
     """
-    if any(isinstance(v, MultiPoly) for v in (alpha, beta, gamma)):
-        ring = alpha.ring
-        al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
-        one = ring.one()
-    else:
-        al, be, ga = (QQi.coerce(v) for v in (alpha, beta, gamma))
-        one = QQi.one()
+    field = next((v.ring for v in (alpha, beta, gamma) if isinstance(v, MultiPoly)), QQi)
+    al, be, ga = (field.coerce(v) for v in (alpha, beta, gamma))
+    one = field.one()
     rows = [
         [one, one, one, one],
         [one, -be * ga, -ga, be],
@@ -222,77 +208,37 @@ def quadric_determinant(alpha, beta, gamma):
     return det4(rows)
 
 
-#: stated product factorizations: minor pair -> (bilinear factor spec, quadric tag)
-#: the bilinear factor is (xu*xv, coefficient tag, xw*xt) meaning
-#: xu*xv + coeff * xw*xt with coeff drawn from {alpha, beta, gamma, +-1}
-H_PRODUCT_FORMS = {
-    (2, 3): (("x0", "x1"), "-alpha", ("x2", "x3"), "q"),
-    (4, 6): (("x0", "x1"), "+alpha", ("x2", "x3"), "q1"),
-    (2, 4): (("x0", "x1"), "-1", ("x2", "x3"), "q2"),
-    (3, 6): (("x0", "x1"), "+1", ("x2", "x3"), "q3"),
-    (1, 3): (("x0", "x2"), "-beta", ("x1", "x3"), "q"),
-    (1, 4): (("x0", "x2"), "+1", ("x1", "x3"), "q1"),
-    (4, 5): (("x0", "x2"), "+beta", ("x1", "x3"), "q2"),
-    (3, 5): (("x0", "x2"), "-1", ("x1", "x3"), "q3"),
-    (1, 2): (("x0", "x3"), "-gamma", ("x1", "x2"), "q"),
-    (1, 6): (("x0", "x3"), "-1", ("x1", "x2"), "q1"),
-    (2, 5): (("x0", "x3"), "+1", ("x1", "x2"), "q2"),
-    (5, 6): (("x0", "x3"), "+gamma", ("x1", "x2"), "q3"),
-}
+def stated_minor_forms(alpha, beta, gamma, ring):
+    """The stated factored form of each minor of M, keyed by its pair.
 
-#: the three remaining minors: (squares form, q-combination form)
-H_SQUARE_FORMS = ((3, 4), (2, 6), (1, 5))
-
-
-def _coeff_from_tag(tag, al, be, ga, ring):
-    sign = -1 if tag[0] == "-" else 1
-    name = tag[1:]
-    if name == "1":
-        base = ring.one()
-    else:
-        base = {"alpha": al, "beta": be, "gamma": ga}[name]
-    return base.scale(QQi.coerce(sign)) if sign < 0 else base
-
-
-def stated_minor_form(pair, alpha, beta, gamma, ring):
-    """The claimed factored expression for the minor at the given pair."""
+    Twelve minors are a bilinear factor times one of q, q1, q2, q3.  The
+    three square-type pairs (3,4), (2,6), (1,5) map to two forms of the
+    same minor: (form in the squares, combination of q with q3, q2, q1).
+    """
     al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
-    q, q1, q2, q3 = quadrics(alpha, beta, gamma, ring)
-    qs = {"q": q, "q1": q1, "q2": q2, "q3": q3}
-    x = {v: ring.gen(v) for v in X_VARS}
-    sq = {v: x[v] * x[v] for v in X_VARS}
-    if pair in H_PRODUCT_FORMS:
-        (u, v), tag, (w, t), qt = H_PRODUCT_FORMS[pair]
-        coeff = _coeff_from_tag(tag, al, be, ga, ring)
-        return (x[u] * x[v] + coeff * x[w] * x[t]) * qs[qt]
-    if pair == (3, 4):
-        return (al * be * sq["x3"] - sq["x0"]) * (sq["x1"] + sq["x2"]) + (
-            al * sq["x2"] - be * sq["x1"]
-        ) * (sq["x0"] + sq["x3"])
-    if pair == (2, 6):
-        return (al * ga * sq["x2"] - sq["x0"]) * (sq["x1"] + sq["x3"]) + (
-            ga * sq["x1"] - al * sq["x3"]
-        ) * (sq["x0"] + sq["x2"])
-    if pair == (1, 5):
-        return (be * ga * sq["x1"] - sq["x0"]) * (sq["x2"] + sq["x3"]) + (
-            be * sq["x3"] - ga * sq["x2"]
-        ) * (sq["x0"] + sq["x1"])
-    raise KeyError(pair)
-
-
-def stated_minor_q_form(pair, alpha, beta, gamma, ring):
-    """The alternative quadric-combination form for the three square minors."""
-    al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
-    q, q1, q2, q3 = quadrics(alpha, beta, gamma, ring)
-    x = {v: ring.gen(v) for v in X_VARS}
-    sq = {v: x[v] * x[v] for v in X_VARS}
-    if pair == (3, 4):
-        return (al * be * sq["x3"] - sq["x0"]) * q + (sq["x0"] + sq["x3"]) * q3
-    if pair == (2, 6):
-        return (al * ga * sq["x2"] - sq["x0"]) * q + (sq["x0"] + sq["x2"]) * q2
-    if pair == (1, 5):
-        return (be * ga * sq["x1"] - sq["x0"]) * q + (sq["x0"] + sq["x1"]) * q1
-    raise KeyError(pair)
+    x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
+    s0, s1, s2, s3 = x0 * x0, x1 * x1, x2 * x2, x3 * x3
+    q, q1, q2, q3 = quadrics(al, be, ga, ring)
+    return {
+        (2, 3): (x0 * x1 - al * x2 * x3) * q,
+        (4, 6): (x0 * x1 + al * x2 * x3) * q1,
+        (2, 4): (x0 * x1 - x2 * x3) * q2,
+        (3, 6): (x0 * x1 + x2 * x3) * q3,
+        (1, 3): (x0 * x2 - be * x1 * x3) * q,
+        (1, 4): (x0 * x2 + x1 * x3) * q1,
+        (4, 5): (x0 * x2 + be * x1 * x3) * q2,
+        (3, 5): (x0 * x2 - x1 * x3) * q3,
+        (1, 2): (x0 * x3 - ga * x1 * x2) * q,
+        (1, 6): (x0 * x3 - x1 * x2) * q1,
+        (2, 5): (x0 * x3 + x1 * x2) * q2,
+        (5, 6): (x0 * x3 + ga * x1 * x2) * q3,
+        (3, 4): ((al * be * s3 - s0) * (s1 + s2) + (al * s2 - be * s1) * (s0 + s3),
+                 (al * be * s3 - s0) * q + (s0 + s3) * q3),
+        (2, 6): ((al * ga * s2 - s0) * (s1 + s3) + (ga * s1 - al * s3) * (s0 + s2),
+                 (al * ga * s2 - s0) * q + (s0 + s2) * q2),
+        (1, 5): ((be * ga * s1 - s0) * (s2 + s3) + (be * s3 - ga * s2) * (s0 + s1),
+                 (be * ga * s1 - s0) * q + (s0 + s1) * q1),
+    }
 
 
 def minor_factorization_report(alpha=None, beta=None, gamma=None):
@@ -313,17 +259,19 @@ def minor_factorization_report(alpha=None, beta=None, gamma=None):
         al, be, ga = alpha, beta, gamma
     hs = maximal_minors(matrix_m(al, be, ga, ring))
     gs = maximal_minors(_transpose(matrix_m_prime(al, be, ga, ring)))
+    forms = stated_minor_forms(al, be, ga, ring)
     report = {}
     for pair in MINOR_PAIRS:
         h, g = hs[pair], gs[pair]
-        stated = stated_minor_form(pair, al, be, ga, ring)
+        stated, q_form = forms[pair], None
+        if isinstance(stated, tuple):
+            stated, q_form = stated
         scalar = proportionality_scalar(h, stated, X_VARS)
         if scalar is None or not scalar.num:
             raise AssertionError(f"minor {pair}: stated factorization fails")
         entry = {"scalar": scalar}
-        if pair in dict.fromkeys(H_SQUARE_FORMS):
-            alt = stated_minor_q_form(pair, al, be, ga, ring)
-            if alt != stated:
+        if q_form is not None:
+            if q_form != stated:
                 raise AssertionError(f"minor {pair}: the two stated forms differ")
             entry["q_form_matches"] = True
         mirror_scalar = proportionality_scalar(g, mirror_x0(h), X_VARS)
@@ -334,26 +282,21 @@ def minor_factorization_report(alpha=None, beta=None, gamma=None):
     return report
 
 
-def minors_vanish_on_common_quadric_locus(alpha, beta, gamma):
+def minors_vanish_on_common_quadric_locus(alpha, beta, gamma) -> None:
     """When the parameter sum vanishes, every minor lies in (q, q1).
 
     Checked by slice membership of each 4x4 minor in the degree-4 part of
-    the ideal generated by q and q1; each certificate is re-expanded.
+    the ideal generated by q and q1, whose certificates re-expand.  Raises
+    AssertionError for a minor outside the ideal.
     """
     al, be, ga = (QQi.coerce(v) for v in (alpha, beta, gamma))
     if al + be + ga + al * be * ga:
         raise PreconditionViolated("alpha+beta+gamma+alpha*beta*gamma != 0")
     ring = x_ring()
     q, q1, _, _ = quadrics(al, be, ga, ring)
-    out = {}
     for pair, h in maximal_minors(matrix_m(al, be, ga, ring)).items():
-        ok, cert = ideal_slice_membership(h, [q, q1], 4)
-        if not ok:
+        if ideal_slice_membership(h, [q, q1]) is None:
             raise AssertionError(f"minor {pair} is not in (q, q1)")
-        if not verify_slice_certificate(h, [q, q1], cert):
-            raise AssertionError(f"the certificate of minor {pair} does not re-expand")
-        out[pair] = ok
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +335,6 @@ class ProjectivePoint:
 
     def __hash__(self):
         return hash(self.coords)
-
-    def negate_first(self) -> "ProjectivePoint":
-        c = self.coords
-        return ProjectivePoint((-c[0], c[1], c[2], c[3]))
 
     def sign_flip(self, pattern) -> "ProjectivePoint":
         """Negate the coordinates listed in pattern."""
@@ -475,8 +414,8 @@ class PointTable:
         if label == "inf":
             return p
         if label == "0":
-            return p.negate_first()
-        return p.sign_flip(GAMMA_PATTERNS[int(label)]).negate_first()
+            return p.sign_flip((0,))
+        return p.sign_flip((0,) + GAMMA_PATTERNS[int(label)])
 
     def graph(self):
         """The twenty pairs (p, theta(p))."""
@@ -603,12 +542,6 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
     return report
 
 
-def _linear_coefficients(matrix, ring):
-    """Each entry of a matrix of linear forms as its (letter, coefficient) pairs."""
-    return [[[(_linear_letter(e, ring), c) for e, c in entry.terms.items()]
-             for entry in row] for row in matrix]
-
-
 def _nonzero_minors(coefficients, p: ProjectivePoint) -> dict:
     """The maximal minors of a 6x4 matrix of linear forms that are nonzero at p.
 
@@ -679,61 +612,42 @@ def sigma_matrix():
     return m
 
 
-class CurveContext:
-    """The quartic curve cut out by q and the alpha-dependent quadric,
-    for the one-parameter family with (beta, gamma) = (1, -1)."""
-
-    def __init__(self, alpha):
-        self.symbolic = isinstance(alpha, MultiPoly)
-        if self.symbolic:
-            self.ring = alpha.ring
-            self.alpha = alpha
-        else:
-            self.alpha = QQi.coerce(alpha)
-            if not self.alpha or self.alpha == 1 or self.alpha == -1:
-                raise PreconditionViolated("alpha must avoid {0, 1, -1}")
-            self.ring = x_ring()
-        r = self.ring
-        x0, x1, x2, x3 = (r.gen(v) for v in X_VARS)
-        al = r.coerce(self.alpha)
-        self.f1 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-        self.f2 = x0 * x0 - x1 * x1 + al * (x2 * x2) - al * (x3 * x3)
-
-    def contains(self, p: ProjectivePoint) -> bool:
-        if self.symbolic:
-            raise ValueError("point membership needs a numeric alpha")
-        return not p.evaluate(self.f1) and not p.evaluate(self.f2)
+def curve_quadrics(alpha, ring):
+    """The two quadrics cutting out the quartic curve of A(alpha, 1, -1)."""
+    al = ring.coerce(alpha)
+    x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
+    return (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3,
+            x0 * x0 - x1 * x1 + al * (x2 * x2) - al * (x3 * x3))
 
 
 def curve_relations_certificate(alpha=None):
     """Each entry of M . sigma(x)^T lies in the ideal of the two curve quadrics.
 
     With alpha omitted it is a variable of the coordinate ring, so the
-    certificates hold for every alpha; otherwise alpha is a Q(i) value.
-    The product is computed in the commutative coordinate ring; membership
-    of each (degree-2) entry in x0..x3 is certified by slice membership
-    with degree bound 4, and each certificate is re-expanded.  Returns the
-    list of certificates, one per matrix row.
+    certificates hold for every alpha; otherwise alpha is a Q(i) value
+    outside {0, 1, -1}.  The product is computed in the commutative
+    coordinate ring; membership of each (degree-2) entry in x0..x3 is
+    certified by slice membership, whose certificates re-expand.  Returns
+    the list of certificates, one per matrix row.
     """
     if alpha is None:
         ring = PolyRing(("alpha",) + X_VARS)
         alpha = ring.gen("alpha")
     else:
+        alpha = QQi.coerce(alpha)
+        if not alpha or alpha == 1 or alpha == -1:
+            raise PreconditionViolated("alpha must avoid {0, 1, -1}")
         ring = x_ring()
-    curve = CurveContext(alpha)
-    m = matrix_m(alpha, 1, -1, ring)
+    gens = curve_quadrics(alpha, ring)
     x = [ring.gen(v) for v in X_VARS]
     sigma_x = [x[src] if sgn > 0 else -x[src] for src, sgn in SIGMA_IMAGES]
-    gens = [curve.f1, curve.f2]
     certificates = []
-    for row in m:
+    for row in matrix_m(alpha, 1, -1, ring):
         entry = ring.zero()
         for e, s in zip(row, sigma_x):
             entry = entry + e * s
-        ok, cert = ideal_slice_membership(entry, gens, 4, main_names=X_VARS)
-        if not ok:
+        cert = ideal_slice_membership(entry, gens, main_names=X_VARS)
+        if cert is None:
             raise AssertionError("matrix-times-sigma entry is outside the curve ideal")
-        if not verify_slice_certificate(entry, gens, cert, main_names=X_VARS):
-            raise AssertionError("a matrix-times-sigma certificate does not re-expand")
         certificates.append(cert)
     return certificates

@@ -205,24 +205,7 @@ class MultiPoly(RingOps):
     def constant_term(self) -> GaussianRational:
         return self.terms.get((0,) * self.ring.nvars, QI_ZERO)
 
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, mapping: dict) -> "MultiPoly":
-        """Replace named variables by MultiPoly values (same ring)."""
-        images = []
-        for k, name in enumerate(self.ring.variables):
-            if name in mapping:
-                images.append(self.ring.coerce(mapping[name]))
-            else:
-                images.append(self.ring.gen(name))
-        out = self.ring.zero()
-        for exp, c in self.terms.items():
-            term = self.ring.constant(c)
-            for k, e in enumerate(exp):
-                if e:
-                    term = term * images[k] ** e
-            out = out + term
-        return out
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, values: dict):
         """Evaluate at scalar values (one per variable used); returns a scalar.
@@ -588,19 +571,19 @@ class MacaulaySlice:
             yield {tag: -self.echelon.field.one(), **combo}
 
 
-def ideal_slice_membership(f: MultiPoly, generators, degree_bound: int,
-                           main_names=None):
+def ideal_slice_membership(f: MultiPoly, generators, main_names=None):
     """Decide membership of f in the degree-(deg f) slice of an ideal.
 
     The slice is the span of {g * m : g a generator, m a monomial,
     deg(g*m) = deg f}, i.e. membership without any division tricks; f must
-    be homogeneous in the main variables and satisfy deg f <= degree_bound.
+    be homogeneous in the main variables.
 
     With ``main_names`` given, degrees and monomials refer to those
     variables only and the remaining variables act as scalar parameters
     (the linear algebra then runs over the corresponding rational function
-    field).  Returns (True, certificate) with certificate a list of
-    (generator index, exponent tuple, coefficient), or (False, None).
+    field).  Returns the certificate, a list of (generator index, exponent
+    tuple, coefficient), once it re-expands to f; or None when f is not in
+    the slice.  A certificate that does not re-expand raises AssertionError.
     """
     ring = f.ring
     if main_names is None:
@@ -621,13 +604,11 @@ def ideal_slice_membership(f: MultiPoly, generators, degree_bound: int,
 
     f_parts = collect(f)
     if not f_parts:
-        return True, []
+        return []
     degs = {sum(k) for _, k in f_parts}
     if len(degs) > 1:
         raise ValueError(f"f is not homogeneous in {main_names}: degrees {degs}")
     d = degs.pop()
-    if d > degree_bound:
-        raise ValueError(f"deg f = {d} exceeds the bound {degree_bound}")
 
     g_parts = [collect(g) for g in generators]
     for gi, parts in enumerate(g_parts):
@@ -635,8 +616,11 @@ def ideal_slice_membership(f: MultiPoly, generators, degree_bound: int,
             raise ValueError(f"generator {gi} is not homogeneous in {main_names}")
     combo = MacaulaySlice(field or QQi, g_parts, d, len(main_names)).certificate(f_parts)
     if combo is None:
-        return False, None
-    return True, [(gi, mono, c) for (gi, mono), c in combo.items()]
+        return None
+    certificate = [(gi, mono, c) for (gi, mono), c in combo.items()]
+    if not verify_slice_certificate(f, generators, certificate, main_names):
+        raise AssertionError("a slice certificate does not re-expand to its target")
+    return certificate
 
 
 def verify_slice_certificate(f: MultiPoly, generators, certificate,

@@ -21,8 +21,8 @@ from .center import (
 from .errors import InvalidInput
 from .freealg import generators
 from .geometry import (
-    CurveContext,
     ProjectivePoint,
+    curve_quadrics,
     curve_relations_certificate,
     eight_points,
     minor_factorization_report,
@@ -32,6 +32,7 @@ from .geometry import (
     sigma_point,
     verify_gamma,
     verify_matrix_consistency,
+    x_ring,
 )
 from .graded import GradedQuotient
 from .poly import FunctionField, PolyRing
@@ -248,10 +249,9 @@ def a9_chl_correspondence():
 def a10_elliptic_data():
     certs = curve_relations_certificate()
     symbolic_ok = len(certs) == 6
-    curve = CurveContext(Fraction(-1, 4))
+    curve = curve_quadrics(Fraction(-1, 4), x_ring())
     p = ProjectivePoint((1, QI_I, 2, gaussian(0, 2)))
-    q = sigma_point(p)
-    numeric_ok = curve.contains(p) and curve.contains(q)
+    numeric_ok = not any(pt.evaluate(f) for pt in (p, sigma_point(p)) for f in curve)
     p4 = sigma_point(sigma_point(sigma_point(sigma_point(p))))
     order_ok = p4 == p
     from .geometry import sigma_matrix

@@ -204,6 +204,16 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert len(payload["factorizations"]) == 15
 
+    @pytest.mark.parametrize("given, missing", [
+        (("--beta", "3"), "alpha"),
+        (("--alpha", "2"), "beta"),
+        (("--alpha", "2", "--beta", "3"), "gamma"),
+    ], ids=["beta-only", "alpha-only", "no-gamma"])
+    def test_minors_with_some_parameters_names_the_missing_one(self, capsys, given,
+                                                                 missing):
+        code, out, err = run_cli(capsys, "minors", *given)
+        assert code == 2 and out == "" and f"missing --{missing}" in err
+
     def test_autos(self, capsys):
         code, out, _ = run_cli(capsys, "autos", "--abc", "2,3,5",
                                "--format", "json")

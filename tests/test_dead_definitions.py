@@ -1,11 +1,12 @@
-"""Every top-level function and class of the package is read by the program.
+"""Every top-level function and class, and every method, of the package is read.
 
 A stdlib-``ast`` scan over the package and ``perfbench``: a definition is
 live when its name is read (as a name, or as the attribute of a module or
 an object) in some scanned file outside its own body.  A recursive call,
 an import or an ``__all__`` entry does not keep a definition alive, and
 neither does a test: the tests are not scanned, so a definition that only
-tests read is dead.
+tests read is dead.  Methods are the functions in the body of a top-level
+class, dunder methods aside (Python calls those itself).
 """
 
 import ast
@@ -29,23 +30,38 @@ def names_read(tree):
     return counts
 
 
+def definitions(tree):
+    """The top-level functions and classes of a module, and the non-dunder methods."""
+    for d in tree.body:
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+            yield d
+        if isinstance(d, ast.ClassDef):
+            yield from (m for m in d.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def dead_definitions(source: str, reads):
-    """(line, name) of each top-level def of source read only in its own body.
+    """(line, name) of each definition of source read only in its own body.
 
     reads counts the names read over every scanned file, source included.
     """
-    return [(d.lineno, d.name) for d in ast.parse(source).body
-            if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-            and reads[d.name] == names_read(d)[d.name]]
+    return [(d.lineno, d.name) for d in definitions(ast.parse(source))
+            if reads[d.name] == names_read(d)[d.name]]
 
 
 def test_the_scan_sees_dead_and_live_definitions():
     source = ("def used():\n    pass\n\n"
               "def recursive(n):\n    return recursive(n - 1)\n\n"
               "class Dead:\n    pass\n\n"
-              "used()\n")
+              "class Live:\n"
+              "    def __init__(self):\n        pass\n\n"
+              "    def called(self):\n        return 1\n\n"
+              "    def uncalled(self):\n        return self.uncalled()\n\n"
+              "used()\n"
+              "Live().called()\n")
     reads = names_read(ast.parse(source))
-    assert dead_definitions(source, reads) == [(4, "recursive"), (7, "Dead")]
+    assert dead_definitions(source, reads) == [
+        (4, "recursive"), (7, "Dead"), (17, "uncalled")]
 
 
 @pytest.fixture(scope="module")

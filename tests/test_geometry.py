@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 from dense_oracle import transpose
-from quadralab import geometry
+from poly_oracle import substitute
+from quadralab import geometry, poly
+from quadralab.center import chl_identity_report
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.geometry import (
     MINOR_PAIRS,
     PARAM_VARS,
     SIGMA_IMAGES,
     X_VARS,
-    CurveContext,
     ProjectivePoint,
+    curve_quadrics,
     curve_relations_certificate,
     eight_points,
     matrix_m,
@@ -24,6 +26,7 @@ from quadralab.geometry import (
     quadric_determinant,
     quadrics,
     sigma_point,
+    stated_minor_forms,
     symbolic_ring,
     verify_gamma,
     verify_matrix_consistency,
@@ -96,6 +99,11 @@ class TestQuadrics:
         sp = al + be + ga + al * be * ga
         assert quadric_determinant(al, be, ga) == -(sp * sp)
 
+    def test_determinant_with_one_symbolic_parameter(self):
+        be = PolyRing(("beta",)).gen("beta")
+        sp = be.ring.constant(gaussian(29)) + be.scale(gaussian(101))
+        assert quadric_determinant(4, be, 25) == -(sp * sp)
+
 
 class TestMinors:
     def test_symbolic_factorizations(self):
@@ -116,16 +124,39 @@ class TestMinors:
         assert report[(2, 3)]["scalar"].num.constant_term() == gaussian(2)
 
     def test_minors_vanish_on_quadric_locus_at_sklyanin_point(self):
-        out = minors_vanish_on_common_quadric_locus(2, -3, Fraction(-1, 5))
-        assert all(out.values())
+        # raises for a minor outside (q, q1)
+        assert minors_vanish_on_common_quadric_locus(2, -3, Fraction(-1, 5)) is None
 
     def test_minor_membership_in_single_quadric_ideal(self):
         # h23 = (x0x1 - alpha x2x3) * q up to scalar, so it lies in (q)
         ring = x_ring()
         q, _, _, _ = quadrics(4, 9, 25, ring)
         h = maximal_minors(matrix_m(4, 9, 25, ring))[(2, 3)]
-        ok, _ = ideal_slice_membership(h, [q], 4)
-        assert ok
+        assert ideal_slice_membership(h, [q]) is not None
+
+    def test_a_wrong_sign_in_a_product_form_fails(self, monkeypatch):
+        def flipped(alpha, beta, gamma, ring):
+            forms = stated_minor_forms(alpha, beta, gamma, ring)
+            x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
+            q = quadrics(alpha, beta, gamma, ring)[0]
+            # the stated form is (x0x1 - alpha x2x3) q
+            forms[2, 3] = (x0 * x1 + ring.coerce(alpha) * x2 * x3) * q
+            return forms
+
+        monkeypatch.setattr(geometry, "stated_minor_forms", flipped)
+        with pytest.raises(AssertionError, match="stated factorization fails"):
+            minor_factorization_report()
+
+    def test_a_wrong_q_combination_form_fails(self, monkeypatch):
+        def changed(alpha, beta, gamma, ring):
+            forms = stated_minor_forms(alpha, beta, gamma, ring)
+            squares, q_form = forms[3, 4]
+            forms[3, 4] = (squares, q_form + ring.gen("x0") ** 4)
+            return forms
+
+        monkeypatch.setattr(geometry, "stated_minor_forms", changed)
+        with pytest.raises(AssertionError, match="two stated forms differ"):
+            minor_factorization_report()
 
 
 class TestMaximalMinors:
@@ -143,7 +174,7 @@ class TestMaximalMinors:
         minus_x0 = {"x0": -ring.gen("x0")}
         for rows in (m, mpt):
             for minor in maximal_minors(rows).values():
-                assert mirror_x0(minor) == minor.substitute(minus_x0)
+                assert mirror_x0(minor) == substitute(minor, minus_x0)
 
     def test_numeric_rows_give_the_values_of_the_minors(self):
         # evaluation is a ring map: the minors of M(p) are the minors' values at p
@@ -294,12 +325,12 @@ class TestEightPoints:
 
 class TestCurve:
     def test_membership_and_order_four(self):
-        curve = CurveContext(Fraction(-1, 4))
+        curve = curve_quadrics(Fraction(-1, 4), x_ring())
         p = ProjectivePoint((1, QI_I, 2, gaussian(0, 2)))
-        assert curve.contains(p)
+        assert not any(p.evaluate(f) for f in curve)
         q = sigma_point(p)
         assert q == ProjectivePoint((QI_I, 1, gaussian(0, 2), -2))
-        assert curve.contains(q)
+        assert not any(q.evaluate(f) for f in curve)
         assert sigma_point(sigma_point(sigma_point(sigma_point(p)))) == p
 
     def test_symbolic_certificates(self):
@@ -316,14 +347,18 @@ class TestCurve:
     @pytest.mark.parametrize("check", [
         lambda: curve_relations_certificate(),
         lambda: minors_vanish_on_common_quadric_locus(2, -3, Fraction(-1, 5)),
-    ], ids=["curve", "minors"])
+        chl_identity_report,
+    ], ids=["curve", "minors", "chl"])
     def test_tampered_certificate_is_refused(self, monkeypatch, check):
-        def tampered(f, generators, degree_bound, main_names=None):
-            ok, cert = ideal_slice_membership(f, generators, degree_bound, main_names)
-            # one extra term: the certificate now sums to f + g_0
-            return ok, cert + [(0, (0, 0, 0, 0), gaussian(1))]
+        certificate = poly.MacaulaySlice.certificate
 
-        monkeypatch.setattr(geometry, "ideal_slice_membership", tampered)
+        def tampered(self, target):
+            combo = certificate(self, target)
+            # one more m * g: the certificate now sums to the target + m * g
+            key = next(iter(combo))
+            return {**combo, key: combo[key] + self.echelon.field.one()}
+
+        monkeypatch.setattr(poly.MacaulaySlice, "certificate", tampered)
         with pytest.raises(AssertionError, match="re-expand"):
             check()
 
@@ -336,7 +371,7 @@ class TestCurve:
             al = ring.gen("alpha")
         else:
             ring, al = x_ring(), alpha
-        curve = CurveContext(al)
+        curve = curve_quadrics(al, ring)
         x = [ring.gen(v) for v in X_VARS]
         sigma_x = [x[src] if sgn > 0 else -x[src] for src, sgn in SIGMA_IMAGES]
         certs = curve_relations_certificate(alpha)
@@ -346,9 +381,8 @@ class TestCurve:
             entry = ring.zero()
             for e, s in zip(row, sigma_x):
                 entry = entry + e * s
-            assert verify_slice_certificate(entry, [curve.f1, curve.f2], cert,
-                                            main_names=X_VARS)
+            assert verify_slice_certificate(entry, curve, cert, main_names=X_VARS)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(PreconditionViolated):
-            CurveContext(1)
+            curve_relations_certificate(1)
