@@ -13,7 +13,7 @@ for modular rank evidence.  No floating point anywhere.
 
 __version__ = "0.1.0"
 
-from .scalars import BigRational, GaussianRational, PrimeField, QQi, gaussian, parse_scalar
+from .scalars import GaussianRational, PrimeField, QQi, gaussian, parse_scalar
 from .poly import FunctionField, MultiPoly, PolyRing, RationalFunction
 from .extension import adjoin_fourth_root, adjoin_square_root
 from .freealg import FreeElement, anticommutator, apply_linear, commutator, generators
@@ -39,7 +39,6 @@ from .geometry import (
 from .symmetry import ChlPsi, LinearAutomorphism, gamma_maps, psi_maps
 
 __all__ = [
-    "BigRational",
     "GaussianRational",
     "PrimeField",
     "QQi",

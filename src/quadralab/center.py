@@ -98,12 +98,9 @@ def chl_z1(a, b, c, d, field=QQi):
     return x_form, z_form
 
 
-def chl_z1_central(a, b, c, d, field=QQi, quotient=None):
+def chl_z1_central(a, b, c, d, field, quotient):
     """(central?, failing generator) for the z-basis element, degree-3 membership."""
     _, z_form = chl_z1(a, b, c, d, field)
-    if quotient is None:
-        space = chl_z_relations(a, b, c, d, field=field, verify=False)
-        quotient = GradedQuotient(space)
     return quotient.is_central(z_form)
 
 
@@ -156,22 +153,26 @@ def z2_over_base(psi, z2):
     return FreeElement(base)
 
 
-def chl_z2_central(a, b, c, d, field=QQi, quotient=None):
+def chl_z2_central(a, b, c, d, field, quotient):
     """Degree-3 membership check for Z2 over the base field (``z2_over_base``)."""
     psi, z2 = chl_z2(a, b, c, d, field)
-    if quotient is None:
-        space = chl_z_relations(a, b, c, d, field=field, verify=False)
-        quotient = GradedQuotient(space)
     return quotient.is_central(z2_over_base(psi, z2))
 
 
 def chl_symbolic_central():
-    """(Z1 central?, Z2 central?) over Q(i)(a,b,c,d), on one shared quotient."""
+    """(Z1 central?, Z2 central?, Z1 + a z0^2 fails at z1?) over Q(i)(a,b,c,d), on one quotient.
+
+    The negative control's answer comes from the function-field
+    non-membership path: the generic rank and its syzygies.
+    """
     F = FunctionField(PolyRing(("a", "b", "c", "d")))
     a, b, c, d = F.gens()
     quotient = GradedQuotient(chl_z_relations(a, b, c, d, field=F, verify=False))
+    z0 = generators(F)[0]
+    control = chl_z1(a, b, c, d, F)[1] + (z0 * z0).scale(a)
     return (chl_z1_central(a, b, c, d, field=F, quotient=quotient)[0],
-            chl_z2_central(a, b, c, d, field=F, quotient=quotient)[0])
+            chl_z2_central(a, b, c, d, field=F, quotient=quotient)[0],
+            quotient.is_central(control) == (False, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +353,6 @@ def uqsl2_generator_search(alpha):
             for e in units:
                 candidates.append(((m, n, e), x[m] + x[n].scale(e)))
 
-    def in_ideal(f):
-        return quotient.contains(f)
-
     # prune pairwise: braiding pairs (K, Y) with K Y = s i Y K
     braid = {}
     for s, tag in ((-1, "minus"), (1, "plus")):
@@ -364,7 +362,7 @@ def uqsl2_generator_search(alpha):
             for ym, yf in candidates:
                 if km == ym:
                     continue
-                if in_ideal(kf * yf - (yf * kf).scale(si)):
+                if quotient.contains(kf * yf - (yf * kf).scale(si)):
                     pairs.append((km, ym))
         braid[tag] = set(pairs)
 
@@ -383,10 +381,10 @@ def uqsl2_generator_search(alpha):
                     if ymk == ypk:
                         continue
                     rel3 = commutator(ypf, ymf) - (kpf * kpf - kf * kf).scale(i)
-                    if not in_ideal(rel3):
+                    if not quotient.contains(rel3):
                         continue
                     rel4 = commutator(kf, kpf) - (ypf * ypf - ymf * ymf).scale(i * al)
-                    if not in_ideal(rel4):
+                    if not quotient.contains(rel4):
                         continue
                     assignment = {"Y+": ypk, "Y-": ymk, "K": kk, "K'": kpk}
                     if len({ypk, ymk, kk, kpk}) < 4:

@@ -205,7 +205,7 @@ def cmd_autos(args):
     non_coord = [p for label in ("0", "1", "2", "3") for p in table.strata[label]]
     parts = orbits(non_coord, list(psis))
     payload = _base_payload(args, a=a, b=b, c=c)
-    payload["group_relations"] = report.as_dict()
+    payload["group_relations"] = report
     payload["orbits"] = {
         "non_coordinate": [len(o) for o in parts],
         "coordinate_fixed": [len(o) for o in orbits(table.strata["inf"],
@@ -213,7 +213,7 @@ def cmd_autos(args):
         "faithful": point_action_is_faithful(non_coord, psis[0], psis[1]),
     }
     _emit(payload, args.format)
-    ok = report.all_pass() and payload["orbits"]["faithful"]
+    ok = all(report.values()) and payload["orbits"]["faithful"]
     return 0 if ok else 1
 
 

@@ -44,9 +44,8 @@ def symbolic_ring() -> PolyRing:
     return PolyRing(PARAM_VARS + X_VARS)
 
 
-def matrix_m(alpha, beta, gamma, ring=None):
+def matrix_m(alpha, beta, gamma, ring):
     """The 6x4 matrix of linear forms with M x^T = 0 in the algebra."""
-    ring = ring or x_ring()
     al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
     return [
@@ -59,9 +58,8 @@ def matrix_m(alpha, beta, gamma, ring=None):
     ]
 
 
-def matrix_m_prime(alpha, beta, gamma, ring=None):
+def matrix_m_prime(alpha, beta, gamma, ring):
     """The 4x6 matrix of linear forms with x M' = 0 in the algebra."""
-    ring = ring or x_ring()
     al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
     return [
@@ -177,9 +175,8 @@ def mirror_x0(poly: MultiPoly) -> MultiPoly:
     return MultiPoly(poly.ring, {e: -c if e[k] % 2 else c for e, c in poly.terms.items()})
 
 
-def quadrics(alpha, beta, gamma, ring=None):
+def quadrics(alpha, beta, gamma, ring):
     """The four quadrics q, q1, q2, q3 attached to the parameters."""
-    ring = ring or x_ring()
     al, be, ga = (ring.coerce(v) for v in (alpha, beta, gamma))
     x0, x1, x2, x3 = (ring.gen(v) for v in X_VARS)
     sq = [x0 * x0, x1 * x1, x2 * x2, x3 * x3]
@@ -620,24 +617,18 @@ def curve_quadrics(alpha, ring):
             x0 * x0 - x1 * x1 + al * (x2 * x2) - al * (x3 * x3))
 
 
-def curve_relations_certificate(alpha=None):
+def curve_relations_certificate():
     """Each entry of M . sigma(x)^T lies in the ideal of the two curve quadrics.
 
-    With alpha omitted it is a variable of the coordinate ring, so the
-    certificates hold for every alpha; otherwise alpha is a Q(i) value
-    outside {0, 1, -1}.  The product is computed in the commutative
-    coordinate ring; membership of each (degree-2) entry in x0..x3 is
-    certified by slice membership, whose certificates re-expand.  Returns
-    the list of certificates, one per matrix row.
+    M is that of A(alpha, 1, -1) with alpha a variable of the coordinate
+    ring, so the certificates hold for every alpha.  The product is
+    computed in the commutative coordinate ring; membership of each
+    (degree-2) entry in x0..x3 is certified by slice membership, whose
+    certificates re-expand.  Returns the list of certificates, one per
+    matrix row.
     """
-    if alpha is None:
-        ring = PolyRing(("alpha",) + X_VARS)
-        alpha = ring.gen("alpha")
-    else:
-        alpha = QQi.coerce(alpha)
-        if not alpha or alpha == 1 or alpha == -1:
-            raise PreconditionViolated("alpha must avoid {0, 1, -1}")
-        ring = x_ring()
+    ring = PolyRing(("alpha",) + X_VARS)
+    alpha = ring.gen("alpha")
     gens = curve_quadrics(alpha, ring)
     x = [ring.gen(v) for v in X_VARS]
     sigma_x = [x[src] if sgn > 0 else -x[src] for src, sgn in SIGMA_IMAGES]

@@ -469,7 +469,7 @@ class GradedQuotient:
         _check_cap(n)
         if self._symbolic:
             if n == 2:
-                return self.space.contains(f)
+                return self.space.echelon.contains(f.coefficient_vector(2))
             return self.parametric().certificate(f, n) is not None
         return not self.tower().coordinates(f, n)
 

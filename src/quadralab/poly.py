@@ -623,16 +623,13 @@ def ideal_slice_membership(f: MultiPoly, generators, main_names=None):
     return certificate
 
 
-def verify_slice_certificate(f: MultiPoly, generators, certificate,
-                             main_names=None) -> bool:
+def verify_slice_certificate(f: MultiPoly, generators, certificate, main_names) -> bool:
     """Re-expand a membership certificate and compare against f.
 
     Handles rational-function coefficients by accumulating over a common
     denominator, so the final comparison is a polynomial identity.
     """
     ring = f.ring
-    if main_names is None:
-        main_names = ring.variables
     main_idx = [ring._index[v] for v in main_names]
     acc_num = ring.zero()
     acc_den = ring.one()

@@ -72,19 +72,9 @@ class RelationSpace:
         if ech.rank < 6:
             raise DegeneratePresentation(ech.rank, collapsed, label)
 
-    def contains(self, element_or_vector) -> bool:
-        vec = element_or_vector
-        if isinstance(vec, FreeElement):
-            if vec.is_zero():
-                return True
-            if vec.degree() != 2:
-                return False
-            vec = vec.coefficient_vector(2)
-        return self.echelon.contains(vec)
-
     def spans_same(self, other: "RelationSpace") -> bool:
         # both spaces have rank 6 by construction, so one inclusion is enough
-        return all(self.contains(r) for r in other.rows)
+        return all(self.echelon.contains(r) for r in other.rows)
 
     def transformed(self, matrix, label="") -> "RelationSpace":
         """Apply a generator substitution to every relation."""

@@ -28,9 +28,6 @@ from math import gcd, lcm
 
 from .errors import NotInvertible, ScalarParseError
 
-#: Arbitrary-precision rational numbers (normalized by construction).
-BigRational = Fraction
-
 
 class RingOps:
     """Subtraction, powers, ``is_zero`` and immutability from ``+``, ``-x``, ``*``."""
@@ -476,9 +473,6 @@ class RationalField:
 
     def one(self):
         return QI_ONE
-
-    def i(self):
-        return QI_I
 
     def coerce(self, value) -> GaussianRational:
         got = GaussianRational._lift(value)

@@ -142,26 +142,25 @@ class LinearAutomorphism:
 # ---------------------------------------------------------------------------
 
 
-def psi_maps(a, b, c, field=QQi):
-    """The three permute-and-scale maps built from the square roots.
+def psi_maps(a, b, c):
+    """The three permute-and-scale maps over Q(i) built from the square roots.
 
     psi_i sends x0 -> a_j a_k x_i, x_i -> -i x0, x_j -> -i a_j x_k,
     x_k -> -a_k x_j for the cyclic (i,j,k).
     """
-    a, b, c = (field.coerce(v) for v in (a, b, c))
+    a, b, c = (QQi.coerce(v) for v in (a, b, c))
     if not (a and b and c):
         raise DegenerateParameters("square roots a, b, c must be nonzero")
-    i = field.coerce(QI_I)
-    zero = field.zero()
+    i = QI_I
     roots = {1: a, 2: b, 3: c}
     out = []
     for idx, (j, k) in zip((1, 2, 3), ((2, 3), (3, 1), (1, 2))):
-        m = [[zero] * 4 for _ in range(4)]
+        m = [[QI_ZERO] * 4 for _ in range(4)]
         m[idx][0] = roots[j] * roots[k]
         m[0][idx] = -i
         m[k][j] = -i * roots[j]
         m[j][k] = -roots[k]
-        out.append(LinearAutomorphism(field, m, label=f"psi{idx}"))
+        out.append(LinearAutomorphism(QQi, m, label=f"psi{idx}"))
     return tuple(out)
 
 
@@ -241,21 +240,7 @@ def sklyanin_criterion(lambdas, alphas, cyclic) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class HeisenbergReport:
-    def __init__(self):
-        self.checks = {}
-
-    def record(self, name, ok):
-        self.checks[name] = bool(ok)
-
-    def all_pass(self):
-        return all(self.checks.values())
-
-    def as_dict(self):
-        return dict(self.checks)
-
-
-def heisenberg_checks(a, b, c) -> HeisenbergReport:
+def heisenberg_checks(a, b, c) -> dict:
     """Verify the stated group relations among the generator maps.
 
     The square roots (a, b, c) are in Q(i) and the parameters are
@@ -265,11 +250,11 @@ def heisenberg_checks(a, b, c) -> HeisenbergReport:
     through nu_i^4, no root adjunction needed); the sign involutions
     compose as a Klein four-group; the stated dual-basis matrices are the
     inverses of the psi matrices; and each psi satisfies the scalar
-    criterion.
+    criterion.  Returns {relation: holds?} in that order.
     """
     a, b, c = (QQi.coerce(v) for v in (a, b, c))
     alphas = (a * a, b * b, c * c)
-    report = HeisenbergReport()
+    report = {}
     psis = psi_maps(a, b, c)
     gammas = gamma_maps()
     i = QI_I
@@ -281,33 +266,30 @@ def heisenberg_checks(a, b, c) -> HeisenbergReport:
     # braiding: psi1 psi2 = i psi2 psi1 and cyclic variants
     for (u, v) in ((0, 1), (1, 2), (2, 0)):
         uv, vu = psis[u].compose(psis[v]), psis[v].compose(psis[u])
-        report.record(f"psi{u+1}psi{v+1} = i psi{v+1}psi{u+1}", ratio(uv, vu) == i)
+        report[f"psi{u+1}psi{v+1} = i psi{v+1}psi{u+1}"] = ratio(uv, vu) == i
 
     # squares: psi1^2 = -i b c gamma1 etc.
     scalars = (-i * b * c, -i * a * c, -i * a * b)
     for t in range(3):
         sq = psis[t].compose(psis[t])
-        report.record(f"psi{t+1}^2 = scalar * gamma{t+1}", ratio(sq, gammas[t]) == scalars[t])
+        report[f"psi{t+1}^2 = scalar * gamma{t+1}"] = ratio(sq, gammas[t]) == scalars[t]
 
     # normalized fourth powers: psi_t^4 equals nu_t^4 times the identity,
     # where a nu1^2 = b nu2^2 = c nu3^2 = -i a b c
     nu_sq = ((-i) * a * b * c / a, (-i) * a * b * c / b, (-i) * a * b * c / c)
     for t in range(3):
-        report.record(f"epsilon{t+1}^4 = identity",
-                      psis[t].power(4).is_scalar() == nu_sq[t] ** 2)
+        report[f"epsilon{t+1}^4 = identity"] = psis[t].power(4).is_scalar() == nu_sq[t] ** 2
 
     # Klein four-group of sign involutions
     g12 = gammas[0].compose(gammas[1])
-    report.record("gamma1 gamma2 = gamma3", ratio(g12, gammas[2]) == QI_ONE)
+    report["gamma1 gamma2 = gamma3"] = ratio(g12, gammas[2]) == QI_ONE
     for t in range(3):
-        report.record(f"gamma{t+1}^2 = identity",
-                      gammas[t].compose(gammas[t]).is_scalar() == QI_ONE)
+        report[f"gamma{t+1}^2 = identity"] = gammas[t].compose(gammas[t]).is_scalar() == QI_ONE
 
     # stated dual-basis matrices are the inverses of the psi matrices
     stated = contragredient_table(a, b, c)
     for t in range(3):
-        report.record(f"dual table {t+1} = psi{t+1}^-1",
-                      stated[t] == psis[t].inverse().matrix)
+        report[f"dual table {t+1} = psi{t+1}^-1"] = stated[t] == psis[t].inverse().matrix
 
     # scalar criterion for the psi maps; lambdas listed as (l0, li, lj, lk)
     lambda_sets = (
@@ -316,10 +298,7 @@ def heisenberg_checks(a, b, c) -> HeisenbergReport:
         ((a * b, -i, -i * a, -b), (3, 1, 2)),
     )
     for t, (lams, cyc) in enumerate(lambda_sets):
-        report.record(
-            f"scalar criterion psi{t+1}",
-            sklyanin_criterion(lams, alphas, cyc),
-        )
+        report[f"scalar criterion psi{t+1}"] = sklyanin_criterion(lams, alphas, cyc)
     return report
 
 

@@ -132,7 +132,7 @@ def test_is_scalar():
 def test_prime_field_refused():
     # F_p values are plain ints with no inverse(), so inverse() could not work
     with pytest.raises(PreconditionViolated, match="psi1 needs scalars with inverse"):
-        psi_maps(2, 3, 5, field=PrimeField(13))
+        LinearAutomorphism(PrimeField(13), identity_matrix(PrimeField(13)), label="psi1")
 
 
 def test_non_monomial_invertible_matrix_refused():

@@ -16,8 +16,14 @@ from quadralab.center import (
 from quadralab.errors import PreconditionViolated
 from quadralab.freealg import generators
 from quadralab.graded import GradedQuotient
-from quadralab.presentations import sklyanin_relations
-from quadralab.scalars import gaussian
+from quadralab.presentations import chl_z_relations, sklyanin_relations
+from quadralab.scalars import QI_I, QQi, gaussian
+
+
+def chl_central(check, *abcd):
+    """check (chl_z1_central or chl_z2_central) on the quotient of R(a,b,c,d) over Q(i)."""
+    quotient = GradedQuotient(chl_z_relations(*abcd, verify=False))
+    return check(*abcd, field=QQi, quotient=quotient)[0]
 
 
 class TestIdentitySuites:
@@ -95,11 +101,15 @@ class TestSklyaninPair:
     def test_image_under_first_generator_map(self):
         # the permute-and-scale map sends omega0 to a scalar multiple of omega1
         from quadralab.poly import FunctionField, PolyRing
-        from quadralab.symmetry import psi_maps
+        from quadralab.symmetry import LinearAutomorphism
 
         F = FunctionField(PolyRing(("a", "b", "c")))
         a, b, c = F.gens()
-        psi1, _, _ = psi_maps(a, b, c, field=F)
+        # psi1: x0 -> b c x1, x1 -> -i x0, x2 -> -i b x3, x3 -> -c x2
+        i, zero = F.coerce(QI_I), F.zero()
+        m = [[zero] * 4 for _ in range(4)]
+        m[1][0], m[0][1], m[3][2], m[2][3] = b * c, -i, -i * b, -c
+        psi1 = LinearAutomorphism(F, m)
         x = generators(F)
         sq = [g * g for g in x]
         omega0 = -sq[0] + sq[1] + sq[2] + sq[3]
@@ -121,14 +131,14 @@ class TestZ1:
         assert z_form == expected
 
     def test_central_numeric(self):
-        assert chl_z1_central(1, 2, -4, 2)[0]
+        assert chl_central(chl_z1_central, 1, 2, -4, 2)
 
     def test_central_at_commutative_point(self):
-        assert chl_z1_central(1, -1, 0, 0)[0]
+        assert chl_central(chl_z1_central, 1, -1, 0, 0)
 
     def test_central_off_the_quadric(self):
         # no quadric or genericity hypotheses are needed, only rank six
-        assert chl_z1_central(1, 2, 3, 4)[0]
+        assert chl_central(chl_z1_central, 1, 2, 3, 4)
 
 
 class TestZ2:
@@ -137,7 +147,7 @@ class TestZ2:
         coeff = z2.terms[(0, 0)]
         expected = psi.field.coerce(gaussian(3)) * ((psi.q2 * psi.q3).inverse() ** 2)
         assert coeff == expected
-        assert chl_z2_central(1, 2, -4, 2)[0]
+        assert chl_central(chl_z2_central, 1, 2, -4, 2)
 
     def test_denominator_guard(self):
         with pytest.raises(PreconditionViolated):

@@ -82,8 +82,8 @@ class TestMatrices:
 
 class TestQuadrics:
     def test_q2_at_worked_values(self):
-        _, _, q2, _ = quadrics(4, 9, 25)
         ring = x_ring()
+        _, _, q2, _ = quadrics(4, 9, 25, ring)
         x0, x1, x2, x3 = ring.gens()
         expected = (x0 * x0 + (x1 * x1).scale(gaussian(25))
                     - (x2 * x2).scale(gaussian(100)) - (x3 * x3).scale(gaussian(4)))
@@ -190,7 +190,7 @@ class TestMaximalMinors:
 
     def test_rejects_a_matrix_of_the_wrong_shape(self):
         with pytest.raises(ValueError):
-            maximal_minors(matrix_m(4, 9, 25)[:5])
+            maximal_minors(matrix_m(4, 9, 25, x_ring())[:5])
 
 
 class TestPointTable:
@@ -231,7 +231,7 @@ class TestPointTable:
         # roots (1, i, 1) give parameters (1, -1, 1) with zero parameter
         # sum; the sixteen non-coordinate points must satisfy q and q1
         table = point_table(1, QI_I, 1)
-        q, q1, _, _ = quadrics(1, -1, 1)
+        q, q1, _, _ = quadrics(1, -1, 1, x_ring())
         for label in ("0", "1", "2", "3"):
             for p in table.strata[label]:
                 assert not p.evaluate(q)
@@ -239,7 +239,7 @@ class TestPointTable:
 
     def test_nonzero_strata_miss_the_quadrics_off_the_sklyanin_locus(self):
         table = point_table(2, 3, 5)
-        q, _, _, _ = quadrics(4, 9, 25)
+        q, _, _, _ = quadrics(4, 9, 25, x_ring())
         assert any(p.evaluate(q) for p in table.strata["0"])
 
 
@@ -340,12 +340,8 @@ class TestCurve:
         sizes = sorted(len(c) for c in certs)
         assert sizes == [0, 0, 0, 0, 1, 1]
 
-    def test_numeric_certificates(self):
-        certs = curve_relations_certificate(Fraction(-1, 4))
-        assert len(certs) == 6
-
     @pytest.mark.parametrize("check", [
-        lambda: curve_relations_certificate(),
+        curve_relations_certificate,
         lambda: minors_vanish_on_common_quadric_locus(2, -3, Fraction(-1, 5)),
         chl_identity_report,
     ], ids=["curve", "minors", "chl"])
@@ -365,16 +361,19 @@ class TestCurve:
     @pytest.mark.parametrize("alpha", [None, Fraction(-1, 4)],
                              ids=["symbolic", "numeric"])
     def test_certificates_reexpand_to_the_entries(self, alpha):
-        # entry t of M . sigma(x)^T is sum_k M[t][k] * sigma(x)_k
+        # entry t of M . sigma(x)^T is sum_k M[t][k] * sigma(x)_k; at a
+        # numeric alpha the symbolic certificates are evaluated there
+        certs = curve_relations_certificate()
         if alpha is None:
             ring = PolyRing(("alpha",) + X_VARS)
             al = ring.gen("alpha")
         else:
             ring, al = x_ring(), alpha
+            point = {"alpha": gaussian(alpha)}
+            certs = [[(gi, mono, c.evaluate(point)) for gi, mono, c in cert] for cert in certs]
         curve = curve_quadrics(al, ring)
         x = [ring.gen(v) for v in X_VARS]
         sigma_x = [x[src] if sgn > 0 else -x[src] for src, sgn in SIGMA_IMAGES]
-        certs = curve_relations_certificate(alpha)
         rows = matrix_m(al, 1, -1, ring)
         assert len(certs) == len(rows) == 6
         for row, cert in zip(rows, certs):
@@ -382,7 +381,3 @@ class TestCurve:
             for e, s in zip(row, sigma_x):
                 entry = entry + e * s
             assert verify_slice_certificate(entry, curve, cert, main_names=X_VARS)
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            curve_relations_certificate(1)

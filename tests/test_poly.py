@@ -191,7 +191,7 @@ class TestMembership:
         g = a * c + b * d
         cert = ideal_slice_membership(g, [g])
         assert cert == [(0, (0, 0, 0, 0), gaussian(1))]
-        assert verify_slice_certificate(g, [g], cert)
+        assert verify_slice_certificate(g, [g], cert, ring.variables)
 
     def test_non_member(self):
         r = PolyRing(("x0", "x1"))

@@ -97,7 +97,7 @@ class TestCriterion:
 class TestGroupStructure:
     def test_full_report(self):
         report = heisenberg_checks(2, 3, 5)
-        failing = [k for k, v in report.as_dict().items() if not v]
+        failing = [k for k, v in report.items() if not v]
         assert not failing
 
     def test_swapped_involutions_fail_exactly_the_squares(self, monkeypatch, capsys):
@@ -106,7 +106,7 @@ class TestGroupStructure:
         g1, g2, g3 = gamma_maps()
         monkeypatch.setattr(symmetry, "gamma_maps", lambda: (g1, g3, g2))
         report = heisenberg_checks(2, 3, 5)
-        failing = [k for k, v in report.as_dict().items() if not v]
+        failing = [k for k, v in report.items() if not v]
         assert failing == ["psi2^2 = scalar * gamma2", "psi3^2 = scalar * gamma3"]
         assert main(["autos", "--abc", "2,3,5"]) == 1
         assert "psi2^2 = scalar * gamma2: False" in capsys.readouterr().out
