@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .scalars import GaussianRational, PrimeField, QQi, gaussian, parse_scalar
 from .poly import FunctionField, MultiPoly, PolyRing, RationalFunction
-from .extension import adjoin_fourth_root, adjoin_square_root
+from .extension import ExtensionField
 from .freealg import FreeElement, anticommutator, apply_linear, commutator, generators
 from .presentations import (
     CHLParams,
@@ -32,8 +32,8 @@ from .presentations import (
 )
 from .graded import GradedQuotient, HilbertProfile
 from .geometry import (
+    PointTable,
     ProjectivePoint,
-    point_table,
     verify_gamma,
 )
 from .symmetry import ChlPsi, LinearAutomorphism, gamma_maps, psi_maps
@@ -48,8 +48,7 @@ __all__ = [
     "MultiPoly",
     "PolyRing",
     "RationalFunction",
-    "adjoin_fourth_root",
-    "adjoin_square_root",
+    "ExtensionField",
     "FreeElement",
     "anticommutator",
     "apply_linear",
@@ -68,8 +67,8 @@ __all__ = [
     "sklyanin_relations",
     "GradedQuotient",
     "HilbertProfile",
+    "PointTable",
     "ProjectivePoint",
-    "point_table",
     "verify_gamma",
     "ChlPsi",
     "LinearAutomorphism",

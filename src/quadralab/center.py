@@ -31,6 +31,7 @@ from .poly import FunctionField, PolyRing, ideal_slice_membership
 from .presentations import (
     CHLParams,
     chl_z_relations,
+    sklyanin_elements,
     sklyanin_relations,
     x_to_z_matrix,
 )
@@ -112,21 +113,20 @@ def chl_z2(a, b, c, d, field=QQi):
 
     which is exactly psi(Z1)/2 for the order-4 automorphism psi: the z2^2
     coefficient carries tau3^2 = (q3/q2)^2 because psi sends z3 to tau3 z2,
-    and symmetrically for z3^2.  The equality with psi(Z1)/2 is asserted.
-    Returns (psi, Z2).
+    and symmetrically for z3^2.  The coefficients are read off psi's taus
+    (tau0 = -q2 q3, tau1 = (q2 q3)^-1), not inverted again.  The equality
+    with psi(Z1)/2 is asserted.  Returns (psi, Z2).
     """
     psi = ChlPsi(a, b, c, d, field=field)
     tower = psi.field
     a_, b_, c_, d_ = psi.params.as_tuple()
-    q2q3 = psi.q2 * psi.q3
-    r23 = psi.q2 / psi.q3
-    r32 = psi.q3 / psi.q2
+    t0, t1, t2, t3 = psi.taus
     z = generators(tower)
     z2 = (
-        (z[0] * z[0]).scale(tower.coerce(a_ + d_) * (q2q3.inverse() ** 2))
-        + (z[1] * z[1]).scale(tower.coerce(b_ + c_) * (q2q3 ** 2))
-        + (z[2] * z[2]).scale(tower.coerce(c_ - b_) * (r32 ** 2))
-        + (z[3] * z[3]).scale(tower.coerce(d_ - a_) * (r23 ** 2))
+        (z[0] * z[0]).scale(tower.coerce(a_ + d_) * t1 ** 2)
+        + (z[1] * z[1]).scale(tower.coerce(b_ + c_) * t0 ** 2)
+        + (z[2] * z[2]).scale(tower.coerce(c_ - b_) * t3 ** 2)
+        + (z[3] * z[3]).scale(tower.coerce(d_ - a_) * t2 ** 2)
     )
     _, z1_form = chl_z1(a, b, c, d, field)
     z1_lifted = FreeElement({w: tower.coerce(v) for w, v in z1_form.terms.items()})
@@ -180,17 +180,6 @@ def chl_symbolic_central():
 # ---------------------------------------------------------------------------
 
 
-def _relation_elements(field, alphas):
-    """c_i = [x0,xi] - alpha_i {xj,xk}, a_i = {x0,xi} - [xj,xk]."""
-    x = generators(field)
-    cs, as_ = {}, {}
-    cyc = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-    for i, (j, k) in cyc.items():
-        cs[i] = commutator(x[0], x[i]) - anticommutator(x[j], x[k]).scale(alphas[i - 1])
-        as_[i] = anticommutator(x[0], x[i]) - commutator(x[j], x[k])
-    return x, cs, as_
-
-
 def squares_identity_report():
     """The four identity families proving the squares central.
 
@@ -202,7 +191,8 @@ def squares_identity_report():
     field = FunctionField(PolyRing(("a1", "a2", "a3")))
     a1, a2, a3 = field.gens()
     sigma_pi = a1 + a2 + a3 + a1 * a2 * a3
-    x, c, a = _relation_elements(field, (a1, a2, a3))
+    x = generators(field)
+    c, a = sklyanin_elements((a1, a2, a3), field)
     al = {1: a1, 2: a2, 3: a3}
     one = field.one()
     report = {}
@@ -264,7 +254,8 @@ def central_pair_identity_report():
     a1, a2 = field.gens()
     one = field.one()
     a3 = -(a1 + a2) / (one + a1 * a2)
-    x, c, a = _relation_elements(field, (a1, a2, a3))
+    x = generators(field)
+    c, a = sklyanin_elements((a1, a2, a3), field)
     sq = [g * g for g in x]
     report = {}
 

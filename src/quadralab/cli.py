@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import InvalidInput, QuadralabError
 from .freealg import LABELS_CHL, LABELS_Z, generators
-from .geometry import minor_factorization_report, point_table, verify_gamma
+from .geometry import PointTable, minor_factorization_report, verify_gamma
 from .graded import DEFAULT_DEGREE_CAP, GradedQuotient
 from .center import (
     central_pair_identity_report,
@@ -155,7 +155,7 @@ def cmd_hilbert(args):
 
 def cmd_points(args):
     a, b, c = _abc_params(args)
-    table = point_table(a, b, c)
+    table = PointTable(a, b, c)
     payload = _base_payload(args, a=a, b=b, c=c)
     payload["strata"] = {
         label: [[_literal(x) for x in p.coords] for p in pts]
@@ -175,9 +175,9 @@ def cmd_verify_gamma(args):
     a, b, c = _abc_params(args)
     report = verify_gamma(alpha, beta, gamma, a, b, c)
     payload = _base_payload(args, alpha=alpha, beta=beta, gamma=gamma, a=a, b=b, c=c)
-    payload["report"] = report.as_dict()
+    payload["report"] = report
     _emit(payload, args.format)
-    return 0 if report.all_pass() else 1
+    return 1 if report["failures"] else 0
 
 
 def cmd_minors(args):
@@ -200,7 +200,7 @@ def cmd_minors(args):
 def cmd_autos(args):
     a, b, c = _abc_params(args)
     report = heisenberg_checks(a, b, c)
-    table = point_table(a, b, c)
+    table = PointTable(a, b, c)
     psis = psi_maps(a, b, c)
     non_coord = [p for label in ("0", "1", "2", "3") for p in table.strata[label]]
     parts = orbits(non_coord, list(psis))

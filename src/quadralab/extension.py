@@ -80,15 +80,6 @@ class ExtensionField:
         return f"{self.base!r}[{self.symbol}; {self.symbol}^{self.power}={self.radicand}]"
 
 
-def adjoin_fourth_root(base, symbol: str, radicand) -> ExtensionField:
-    """Adjoin a formal fourth root: symbol^4 = radicand."""
-    return ExtensionField(base, symbol, 4, radicand)
-
-
-def adjoin_square_root(base, symbol: str, radicand) -> ExtensionField:
-    return ExtensionField(base, symbol, 2, radicand)
-
-
 class ExtensionElement(FieldOps):
     __slots__ = ("field", "coeffs")
 

@@ -419,56 +419,21 @@ class PointTable:
         return [(p, self.theta(p)) for p in self.points()]
 
 
-def point_table(a, b, c) -> PointTable:
-    return PointTable(a, b, c)
-
-
-def evaluate_bilinear(row: dict, p: ProjectivePoint, pp: ProjectivePoint):
-    """Value of a degree-2 coefficient row as a (1,1)-form at (p, p')."""
-    total = QQi.zero()
-    for idx, coeff in row.items():
-        k, l = divmod(idx, 4)
-        total = total + coeff * p[k] * pp[l]
-    return total
-
-
-class GammaReport:
-    def __init__(self):
-        self.distinct = None
-        self.forms_vanish = None
-        self.kernel_dimension = None
-        self.kernel_is_relation_space = None
-        self.minors_vanish = None
-        self.failures = []
-
-    def all_pass(self) -> bool:
-        return (
-            self.distinct
-            and self.forms_vanish
-            and self.kernel_dimension == 6
-            and self.kernel_is_relation_space
-            and self.minors_vanish
-        )
-
-    def as_dict(self):
-        return {
-            "points_distinct": self.distinct,
-            "relation_forms_vanish_on_graph": self.forms_vanish,
-            "evaluation_kernel_dimension": self.kernel_dimension,
-            "kernel_equals_relation_space": self.kernel_is_relation_space,
-            "minors_vanish_at_projections": self.minors_vanish,
-            "failures": self.failures,
-        }
-
-
-def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
+def verify_gamma(alpha, beta, gamma, a, b, c) -> dict:
     """The four-assertion verification of the twenty-point picture.
 
     (i) the twenty points are pairwise distinct; (ii) all six relation
     forms vanish at every graph pair; (iii) the forms vanishing on the
     graph are exactly the 6-dimensional relation space; (iv) the fifteen
     minors of M vanish at first-projection points and those of M' at
-    second-projection points.
+    second-projection points.  Returns a dict with one entry per
+    assertion and a ``failures`` list; each false assertion adds at least
+    one failure and each failure comes from a false assertion, so the
+    picture holds exactly when ``failures`` is empty.
+
+    Each graph pair (p, p') gives one evaluation row, whose coordinate
+    4k + l is p[k] p'[l]: a relation row's form value at the pair is its
+    dot product with that row, and the twenty rows give the 20x16 rank.
 
     (iv) is decided exactly, and independently of (ii), from the numeric
     matrices M(p) and M'(p')^T.  Evaluation is a ring map, so a minor of M
@@ -488,55 +453,47 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> GammaReport:
         if root * root != value:
             raise PreconditionViolated(f"{name}^2 does not equal the parameter")
 
-    report = GammaReport()
-    table = point_table(a_, b_, c_)
+    failures = []
+    table = PointTable(a_, b_, c_)
     graph = table.graph()
-    report.distinct = table.all_distinct()
-    if not report.distinct:
-        report.failures.append("points are not pairwise distinct")
+    distinct = table.all_distinct()
+    if not distinct:
+        failures.append("points are not pairwise distinct")
 
     space = sklyanin_relations(al, be, ga)
-    report.forms_vanish = True
-    for p, pp in graph:
-        for name, row in zip(space.row_names, space.rows):
-            value = evaluate_bilinear(row, p, pp)
-            if value:
-                report.forms_vanish = False
-                report.failures.append(f"form {name} is nonzero at ({p!r}, {pp!r})")
-
-    # kernel of the 20x16 evaluation matrix
+    forms_vanish = True
     ech = SparseEchelon(QQi)
     for p, pp in graph:
-        row = {}
-        for k in range(4):
-            for l in range(4):
-                v = p[k] * pp[l]
-                if v:
-                    row[k * 4 + l] = v
+        row = {4 * k + l: p[k] * pp[l] for k in range(4) for l in range(4) if p[k] and pp[l]}
+        for name, rel in zip(space.row_names, space.rows):
+            if sum((v * row[idx] for idx, v in rel.items() if idx in row), QI_ZERO):
+                forms_vanish = False
+                failures.append(f"form {name} is nonzero at ({p!r}, {pp!r})")
         ech.insert(row)
-    report.kernel_dimension = 16 - ech.rank
-    if report.kernel_dimension != 6:
-        report.failures.append(
-            f"evaluation kernel has dimension {report.kernel_dimension}, not 6"
-        )
-    # the relation rows already vanish on the graph (checked above), and a
-    # 6-dimensional kernel containing the 6-dimensional relation space is it
-    report.kernel_is_relation_space = (
-        report.kernel_dimension == 6 and report.forms_vanish
-    )
+    kernel_dimension = 16 - ech.rank
+    if kernel_dimension != 6:
+        failures.append(f"evaluation kernel has dimension {kernel_dimension}, not 6")
 
     ring = x_ring()
     m = _linear_coefficients(matrix_m(al, be, ga, ring), ring)
     mpt = _linear_coefficients(_transpose(matrix_m_prime(al, be, ga, ring)), ring)
     nonzero = [(_nonzero_minors(m, p), _nonzero_minors(mpt, pp)) for p, pp in graph]
-    report.minors_vanish = not any(h or g for h, g in nonzero)
     for pair in MINOR_PAIRS:
         for (p, pp), (h, g) in zip(graph, nonzero):
             if pair in h:
-                report.failures.append(f"minor h{pair} nonzero at {p!r}")
+                failures.append(f"minor h{pair} nonzero at {p!r}")
             if pair in g:
-                report.failures.append(f"minor g{pair} nonzero at {pp!r}")
-    return report
+                failures.append(f"minor g{pair} nonzero at {pp!r}")
+    return {
+        "points_distinct": distinct,
+        "relation_forms_vanish_on_graph": forms_vanish,
+        "evaluation_kernel_dimension": kernel_dimension,
+        # the relation rows vanish on the graph, and a 6-dimensional kernel
+        # containing the 6-dimensional relation space is it
+        "kernel_equals_relation_space": kernel_dimension == 6 and forms_vanish,
+        "minors_vanish_at_projections": not any(h or g for h, g in nonzero),
+        "failures": failures,
+    }
 
 
 def _nonzero_minors(coefficients, p: ProjectivePoint) -> dict:
@@ -599,14 +556,6 @@ SIGMA_IMAGES = ((1, 1), (0, 1), (3, 1), (2, -1))
 def sigma_point(p: ProjectivePoint) -> ProjectivePoint:
     c = p.coords
     return ProjectivePoint(tuple(c[src] * sgn for src, sgn in SIGMA_IMAGES))
-
-
-def sigma_matrix():
-    """The matrix of the order-4 coordinate map over Q(i)."""
-    m = [[QI_ZERO] * 4 for _ in range(4)]
-    for dst, (src, sgn) in enumerate(SIGMA_IMAGES):
-        m[dst][src] = QI_ONE if sgn > 0 else -QI_ONE
-    return m
 
 
 def curve_quadrics(alpha, ring):

@@ -21,6 +21,7 @@ from .errors import (
     NoUniqueSolution,
     PreconditionViolated,
 )
+from .extension import ExtensionField
 from .freealg import (
     FreeElement,
     anticommutator,
@@ -153,22 +154,28 @@ class CHLParams:
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 
-def sklyanin_relations(alpha, beta, gamma, field=QQi) -> RelationSpace:
-    """Rows c1,a1,c2,a2,c3,a3 with c_i=[x0,xi]-alpha_i{xj,xk}, a_i={x0,xi}-[xj,xk]."""
-    alphas = [field.coerce(v) for v in (alpha, beta, gamma)]
+def sklyanin_elements(alphas, field):
+    """({i: c_i}, {i: a_i}) with c_i = [x0,xi] - alpha_i{xj,xk}, a_i = {x0,xi} - [xj,xk].
+
+    alphas are (alpha_1, alpha_2, alpha_3), already in field.
+    """
     x = generators(field)
-    elements = []
-    names = []
+    c, a = {}, {}
     for (i, j, k), lam in zip(CYCLIC, alphas):
-        elements.append(commutator(x[0], x[i]) - anticommutator(x[j], x[k]).scale(lam))
-        names.append(f"c{i}")
-        elements.append(anticommutator(x[0], x[i]) - commutator(x[j], x[k]))
-        names.append(f"a{i}")
+        c[i] = commutator(x[0], x[i]) - anticommutator(x[j], x[k]).scale(lam)
+        a[i] = anticommutator(x[0], x[i]) - commutator(x[j], x[k])
+    return c, a
+
+
+def sklyanin_relations(alpha, beta, gamma, field=QQi) -> RelationSpace:
+    """Rows c1,a1,c2,a2,c3,a3 of ``sklyanin_elements``."""
+    alphas = [field.coerce(v) for v in (alpha, beta, gamma)]
+    c, a = sklyanin_elements(alphas, field)
     return RelationSpace(
         field,
-        elements,
+        [e for i in (1, 2, 3) for e in (c[i], a[i])],
         label=f"A({alphas[0]},{alphas[1]},{alphas[2]})",
-        row_names=names,
+        row_names=[f"{kind}{i}" for i in (1, 2, 3) for kind in "ca"],
     )
 
 
@@ -327,12 +334,9 @@ def scaled_basis_matches_sklyanin_form(a, b, c, d) -> bool:
     A(alpha, beta_presented, gamma).  Formal square roots are adjoined
     when the products are not squares.
     """
-    from .extension import adjoin_square_root
-
     corr = chl_to_sklyanin_params(a, b, c, d)
     nu1, nu2, nu3 = corr.nu[0], -corr.nu[1], corr.nu[2]
-    tower = adjoin_square_root(QQi, "s1", nu2 * nu3)
-    tower = adjoin_square_root(tower, "s2", nu3 * nu1)
+    tower = ExtensionField(ExtensionField(QQi, "s1", 2, nu2 * nu3), "s2", 2, nu3 * nu1)
     s1 = tower.coerce(tower.base.root())
     s2 = tower.root()
     s3 = s1 * s2 / tower.coerce(nu3)
@@ -432,6 +436,8 @@ def _solve_scalar(space: RelationSpace, base: FreeElement, weighted: FreeElement
         raise NoUniqueSolution(
             "underdetermined" if not r_base else "inconsistent: no scalar works"
         )
+    if not r_base:
+        return space.field.zero()
     col, wval = next(iter(r_w.items()))
     num = r_base.get(col)
     if num is None:

@@ -7,10 +7,10 @@ alpha*beta*gamma is nonzero.  The sign involutions gamma_i = psi_i^2 up to
 scalar form a Klein four-group that acts for every parameter choice.
 
 Every map here (the psi_i, the gamma_i, sigma and the R(a,b,c,d) map
-below) is permute-and-scale, and ``LinearAutomorphism`` holds it as a
-permutation and four scalars: composing, inverting and acting take O(4)
-scalar work and never an elimination.  A matrix that is not
-permute-and-scale is refused.
+below) is permute-and-scale, and ``LinearAutomorphism`` is built from,
+and holds, its permutation and four scalars: composing, inverting and
+acting take O(4) scalar work and never an elimination.  The dense matrix
+is built only for a reader that compares matrices.
 
 Points of the twenty-point configuration transform by the inverse
 transpose of the generator matrices (the dual-space action); with that
@@ -24,9 +24,9 @@ verified both numerically and with formal roots.
 from __future__ import annotations
 
 from .errors import DegenerateParameters, PreconditionViolated
-from .extension import adjoin_fourth_root
+from .extension import ExtensionField
 from .freealg import FreeElement
-from .geometry import ProjectivePoint
+from .geometry import GAMMA_PATTERNS, ProjectivePoint
 from .presentations import (
     CHLParams,
     RelationSpace,
@@ -41,38 +41,24 @@ class LinearAutomorphism:
 
     Every map of the group has one nonzero entry per row and column, so
     composing, inverting, powering and moving a point or a word are O(4)
-    scalar work.  The constructor takes a matrix in apply_linear's
-    convention (column j holds the coefficients of the image of generator
-    j): a singular matrix is refused with DegenerateParameters, any other
-    matrix that is not permute-and-scale with PreconditionViolated.
-    ``matrix`` builds the dense form on demand.  The scalars must have
+    scalar work.  The constructor takes the permutation of 0..3 and the
+    four scalars; a perm that is not a permutation, or a zero scale, is
+    refused with DegenerateParameters.  ``matrix`` builds the dense form
+    on demand, in apply_linear's convention (column j holds the
+    coefficients of the image of generator j).  The scalars must have
     ``inverse()``: Q(i), a root tower or a function field; a
     ``PrimeField``, whose values are plain ints, is refused with
     PreconditionViolated.
     """
 
-    def __init__(self, field, matrix, label=""):
+    def __init__(self, field, perm, scales, label=""):
         if isinstance(field, PrimeField):
             raise PreconditionViolated(
                 f"{label or 'map'} needs scalars with inverse(), not the ints of F_{field.p}")
-        m = [[field.coerce(v) for v in row] for row in matrix]
-        cols = [[r for r in range(4) if m[r][j]] for j in range(4)]
-        if (not all(cols) or not all(any(row) for row in m)
-                or any(m[r] == m[s] for r in range(4) for s in range(r))):
+        scales = tuple(field.coerce(s) for s in scales)
+        if sorted(perm) != [0, 1, 2, 3] or len(scales) != 4 or not all(scales):
             raise DegenerateParameters(f"{label or 'map'} is singular")
-        if any(len(rows) > 1 for rows in cols):
-            raise PreconditionViolated(f"{label or 'map'} is not permute-and-scale")
-        # one nonzero per column and no zero row: perm is a bijection
-        self.field = field
-        self.perm = tuple(rows[0] for rows in cols)
-        self.scales = tuple(m[r][j] for j, r in enumerate(self.perm))
-        self.label = label
-
-    @classmethod
-    def _monomial(cls, field, perm, scales, label):
-        out = cls.__new__(cls)
-        out.field, out.perm, out.scales, out.label = field, perm, scales, label
-        return out
+        self.field, self.perm, self.scales, self.label = field, tuple(perm), scales, label
 
     @property
     def matrix(self):
@@ -94,7 +80,7 @@ class LinearAutomorphism:
 
     def compose(self, other: "LinearAutomorphism") -> "LinearAutomorphism":
         """self after other."""
-        return LinearAutomorphism._monomial(
+        return LinearAutomorphism(
             self.field,
             tuple(self.perm[k] for k in other.perm),
             tuple(self.scales[k] * s for k, s in zip(other.perm, other.scales)),
@@ -105,16 +91,11 @@ class LinearAutomorphism:
         perm, scales = [0] * 4, [None] * 4
         for j, (r, s) in enumerate(zip(self.perm, self.scales)):
             perm[r], scales[r] = j, s.inverse()
-        return LinearAutomorphism._monomial(
-            self.field, tuple(perm), tuple(scales), f"{self.label}^-1"
-        )
+        return LinearAutomorphism(self.field, perm, scales, f"{self.label}^-1")
 
     def power(self, n: int) -> "LinearAutomorphism":
-        if n < 0:
-            return self.inverse().power(-n)
-        out = LinearAutomorphism._monomial(
-            self.field, (0, 1, 2, 3), (self.field.one(),) * 4, "id"
-        )
+        """self composed with itself n >= 0 times."""
+        out = LinearAutomorphism(self.field, (0, 1, 2, 3), (self.field.one(),) * 4, "id")
         for _ in range(n):
             out = self.compose(out)
         return out
@@ -155,26 +136,20 @@ def psi_maps(a, b, c):
     roots = {1: a, 2: b, 3: c}
     out = []
     for idx, (j, k) in zip((1, 2, 3), ((2, 3), (3, 1), (1, 2))):
-        m = [[QI_ZERO] * 4 for _ in range(4)]
-        m[idx][0] = roots[j] * roots[k]
-        m[0][idx] = -i
-        m[k][j] = -i * roots[j]
-        m[j][k] = -roots[k]
-        out.append(LinearAutomorphism(QQi, m, label=f"psi{idx}"))
+        # generator -> (image generator, scale)
+        images = {0: (idx, roots[j] * roots[k]), idx: (0, -i),
+                  j: (k, -i * roots[j]), k: (j, -roots[k])}
+        perm, scales = zip(*(images[g] for g in range(4)))
+        out.append(LinearAutomorphism(QQi, perm, scales, label=f"psi{idx}"))
     return tuple(out)
 
 
 def gamma_maps():
     """The three diagonal sign involutions, over Q(i)."""
-    one = QI_ONE
-    zero = QI_ZERO
-    signs = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
-    out = []
-    for idx, pattern in signs.items():
-        m = [[(one if s > 0 else -one) if r == col else zero for col in range(4)]
-             for r, s in zip(range(4), pattern)]
-        out.append(LinearAutomorphism(QQi, m, label=f"gamma{idx}"))
-    return tuple(out)
+    return tuple(
+        LinearAutomorphism(QQi, (0, 1, 2, 3), [-1 if k in pattern else 1 for k in range(4)],
+                           label=f"gamma{idx}")
+        for idx, pattern in GAMMA_PATTERNS.items())
 
 
 def contragredient_table(a, b, c):
@@ -392,8 +367,7 @@ class ChlPsi:
         self.params = CHLParams(a, b, c, d)
         self.base_field = field
         rho2, rho3 = chl_rho_values(self.params)
-        tower = adjoin_fourth_root(field, "q2", rho2)
-        tower = adjoin_fourth_root(tower, "q3", rho3)
+        tower = ExtensionField(ExtensionField(field, "q2", 4, rho2), "q3", 4, rho3)
         self.field = tower
         q2 = tower.coerce(tower.base.root())
         q3 = tower.root()
@@ -403,13 +377,7 @@ class ChlPsi:
         t2 = q2 / q3
         t3 = q3 / q2
         self.taus = (t0, t1, t2, t3)
-        zero = tower.zero()
-        m = [[zero] * 4 for _ in range(4)]
-        m[1][0] = t0
-        m[0][1] = t1
-        m[3][2] = t2
-        m[2][3] = t3
-        self.map = LinearAutomorphism(tower, m, label="psi")
+        self.map = LinearAutomorphism(tower, (1, 0, 3, 2), self.taus, label="psi")
 
     def verify(self) -> dict:
         """Order-4 facts and relation preservation, over the formal tower.

@@ -9,10 +9,13 @@ tracked ``SparseEchelon`` of the rows, over any field the kernel takes.
 Row j of the inverse is the combination of the rows that gives e_j; over
 F_p the entries come back as the kernel holds them, ints in [0, p).
 ``dual_point`` is the dual action as the inverse-transpose mat-vec.
+``from_matrix`` reads a permute-and-scale matrix back into the
+permutation and scalars the library's constructor takes.
 """
 
 from quadralab.geometry import ProjectivePoint
 from quadralab.linalg import SparseEchelon, residues
+from quadralab.symmetry import LinearAutomorphism
 
 
 def mat_mul(a, b):
@@ -47,3 +50,10 @@ def dual_point(field, matrix, p):
     """The point p moved by the inverse transpose of matrix."""
     mt = transpose(mat_inverse(field, matrix))
     return ProjectivePoint(tuple(sum(c * v for c, v in zip(row, p)) for row in mt))
+
+
+def from_matrix(field, m, label=""):
+    """The ``LinearAutomorphism`` of a permute-and-scale matrix in apply_linear's
+    convention: column j holds the one nonzero coefficient of generator j's image."""
+    perm = [next(r for r in range(4) if m[r][j]) for j in range(4)]
+    return LinearAutomorphism(field, perm, [m[r][j] for j, r in enumerate(perm)], label)

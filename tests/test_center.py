@@ -106,10 +106,8 @@ class TestSklyaninPair:
         F = FunctionField(PolyRing(("a", "b", "c")))
         a, b, c = F.gens()
         # psi1: x0 -> b c x1, x1 -> -i x0, x2 -> -i b x3, x3 -> -c x2
-        i, zero = F.coerce(QI_I), F.zero()
-        m = [[zero] * 4 for _ in range(4)]
-        m[1][0], m[0][1], m[3][2], m[2][3] = b * c, -i, -i * b, -c
-        psi1 = LinearAutomorphism(F, m)
+        i = F.coerce(QI_I)
+        psi1 = LinearAutomorphism(F, (1, 0, 3, 2), (b * c, -i, -i * b, -c))
         x = generators(F)
         sq = [g * g for g in x]
         omega0 = -sq[0] + sq[1] + sq[2] + sq[3]

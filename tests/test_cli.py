@@ -236,6 +236,18 @@ class TestOtherCommands:
         assert len(payload["invariants"]) == 24
         assert all(v["match"] for v in payload["invariants"].values())
 
+    @pytest.mark.parametrize("params", [(0, 3, 5), (0, 0, 0), (0, 1, -1)],
+                             ids=lambda p: ",".join(map(str, p)))
+    def test_iso_invariants_with_a_zero_parameter(self, capsys, params):
+        # at alpha = 0 the bracket [x0,x1] is itself a relation, so mu1 = 0
+        alpha, beta, gamma = params
+        code, out, _ = run_cli(capsys, "iso-invariants", f"--alpha={alpha}",
+                               f"--beta={beta}", f"--gamma={gamma}", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["invariants"]) == 24
+        assert all(v["match"] for v in payload["invariants"].values())
+
     def test_center_sklyanin_family(self, capsys):
         code, out, _ = run_cli(capsys, "center", "--alpha", "2", "--beta", "3",
                                "--gamma", "5", "--format", "json")

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from quadralab.errors import ScalarParseError
-from quadralab.extension import adjoin_fourth_root
+from quadralab.extension import ExtensionField
 from quadralab.freealg import FreeElement, from_vector
-from quadralab.geometry import point_table
+from quadralab.geometry import PointTable
 from quadralab.graded import GradedQuotient
 from quadralab.linalg import SparseEchelon, residues
 from quadralab.presentations import chl_relations, chl_z_relations, sklyanin_relations
@@ -154,13 +154,13 @@ class TestDistinctnessSweep:
                      for _ in range(3)]
             if not all(roots):
                 continue
-            table = point_table(*roots)
+            table = PointTable(*roots)
             assert table.all_distinct()
             found += 1
 
     def test_distinct_at_parameter_sum_zero(self):
         # (1, i, 1) has parameters (1, -1, 1), parameter sum zero
-        assert point_table(1, QI_I, 1).all_distinct()
+        assert PointTable(1, QI_I, 1).all_distinct()
 
 
 class TestScalarRobustness:
@@ -177,7 +177,7 @@ class TestScalarRobustness:
 
         z = gaussian(Fraction(2, 3), Fraction(-1, 5))
         assert z ** -2 == (z * z).inverse()
-        K = adjoin_fourth_root(QQi, "q", 2)
+        K = ExtensionField(QQi, "q", 4, 2)
         q = K.root()
         assert q ** -3 == (q ** 3).inverse()
 

@@ -4,20 +4,20 @@ from fractions import Fraction
 import pytest
 
 from quadralab.errors import NotInvertible
-from quadralab.extension import ExtensionField, adjoin_fourth_root
+from quadralab.extension import ExtensionField
 from quadralab.poly import FunctionField, PolyRing
 from quadralab.scalars import QQi, gaussian
 
 
 class TestDefiningRelation:
     def test_fourth_root_of_one(self):
-        K = adjoin_fourth_root(QQi, "t", 1)
+        K = ExtensionField(QQi, "t", 4, 1)
         t = K.root()
         assert t * t ** 3 == K.one()
         assert t ** 4 == K.one()
 
     def test_reduction_of_high_powers(self):
-        K = adjoin_fourth_root(QQi, "q", 9)
+        K = ExtensionField(QQi, "q", 4, 9)
         q = K.root()
         assert q ** 4 == K.coerce(9)
         assert q ** 6 == K.coerce(9) * q * q
@@ -25,7 +25,7 @@ class TestDefiningRelation:
 
     def test_zero_divisor_detected(self):
         # q^4 = 9 factors through q^2 = +-3, so q^2 - 3 kills q^2 + 3
-        K = adjoin_fourth_root(QQi, "q", 9)
+        K = ExtensionField(QQi, "q", 4, 9)
         q = K.root()
         zd = q * q - K.coerce(3)
         assert (zd * (q * q + K.coerce(3))).is_zero()
@@ -33,7 +33,7 @@ class TestDefiningRelation:
             zd.inverse()
 
     def test_inverse_of_root(self):
-        K = adjoin_fourth_root(QQi, "q", 2)
+        K = ExtensionField(QQi, "q", 4, 2)
         q = K.root()
         inv = q.inverse()
         assert inv == q ** 3 * K.coerce(Fraction(1, 2))
@@ -42,8 +42,8 @@ class TestDefiningRelation:
 
 class TestTower:
     def test_mixed_arithmetic(self):
-        K1 = adjoin_fourth_root(QQi, "q2", 9)
-        K2 = adjoin_fourth_root(K1, "q3", Fraction(1, 4))
+        K1 = ExtensionField(QQi, "q2", 4, 9)
+        K2 = ExtensionField(K1, "q3", 4, Fraction(1, 4))
         q2 = K2.coerce(K1.root())
         q3 = K2.root()
         prod = q2 * q3
@@ -64,11 +64,11 @@ class TestTower:
         ring = PolyRing(("a", "b"))
         F = FunctionField(ring)
         a, b = F.gens()
-        K = adjoin_fourth_root(F, "q", a / b)
+        K = ExtensionField(F, "q", 4, a / b)
         q = K.root()
         assert q ** 4 == K.coerce(a / b)
         assert q.inverse() * q == K.one()
 
     def test_zero_radicand_rejected(self):
         with pytest.raises(ValueError):
-            adjoin_fourth_root(QQi, "q", 0)
+            ExtensionField(QQi, "q", 4, 0)

@@ -12,6 +12,7 @@ from quadralab.geometry import (
     PARAM_VARS,
     SIGMA_IMAGES,
     X_VARS,
+    PointTable,
     ProjectivePoint,
     curve_quadrics,
     curve_relations_certificate,
@@ -22,7 +23,6 @@ from quadralab.geometry import (
     minor_factorization_report,
     minors_vanish_on_common_quadric_locus,
     mirror_x0,
-    point_table,
     quadric_determinant,
     quadrics,
     sigma_point,
@@ -180,7 +180,7 @@ class TestMaximalMinors:
         # evaluation is a ring map: the minors of M(p) are the minors' values at p
         ring, m, mpt = minor_matrices((4, 9, 25))
         for p in (ProjectivePoint((1, 2, 3, 4)), ProjectivePoint((2, 0, QI_I, -1)),
-                  point_table(2, 3, 5).strata["1"][2]):
+                  PointTable(2, 3, 5).strata["1"][2]):
             for rows in (m, mpt):
                 symbolic = maximal_minors(rows)
                 values = [[p.evaluate(entry) for entry in row] for row in rows]
@@ -195,23 +195,23 @@ class TestMaximalMinors:
 
 class TestPointTable:
     def test_twenty_distinct_points(self):
-        table = point_table(2, 3, 5)
+        table = PointTable(2, 3, 5)
         assert len(table.points()) == 20 and table.all_distinct()
 
     def test_top_points(self):
-        table = point_table(2, 3, 5)
+        table = PointTable(2, 3, 5)
         assert table.strata["0"][0] == ProjectivePoint((30, 2, 3, 5))
         assert table.strata["1"][0] == ProjectivePoint((2, gaussian(0, -2), -QI_I, -1))
 
     def test_theta_on_strata(self):
-        table = point_table(2, 3, 5)
+        table = PointTable(2, 3, 5)
         e0 = ProjectivePoint((1, 0, 0, 0))
         assert table.theta(e0) == e0
         top = ProjectivePoint((30, 2, 3, 5))
         assert table.theta(top) == ProjectivePoint((-30, 2, 3, 5))
 
     def test_strata_are_sign_orbits(self):
-        table = point_table(2, 3, 5)
+        table = PointTable(2, 3, 5)
         for label in ("0", "1", "2", "3"):
             top = table.strata[label][0]
             assert table.strata[label][1:] == [
@@ -220,17 +220,17 @@ class TestPointTable:
 
     def test_zero_root_rejected(self):
         with pytest.raises(DegenerateParameters):
-            point_table(0, 1, 1)
+            PointTable(0, 1, 1)
 
     def test_distinct_even_at_sklyanin_parameters(self):
         # roots (1, i, 1) give parameters (1, -1, 1) with zero parameter sum
-        table = point_table(1, QI_I, 1)
+        table = PointTable(1, QI_I, 1)
         assert table.all_distinct()
 
     def test_nonzero_strata_lie_on_the_curve_quadrics_at_a_sklyanin_point(self):
         # roots (1, i, 1) give parameters (1, -1, 1) with zero parameter
         # sum; the sixteen non-coordinate points must satisfy q and q1
-        table = point_table(1, QI_I, 1)
+        table = PointTable(1, QI_I, 1)
         q, q1, _, _ = quadrics(1, -1, 1, x_ring())
         for label in ("0", "1", "2", "3"):
             for p in table.strata[label]:
@@ -238,21 +238,35 @@ class TestPointTable:
                 assert not p.evaluate(q1)
 
     def test_nonzero_strata_miss_the_quadrics_off_the_sklyanin_locus(self):
-        table = point_table(2, 3, 5)
+        table = PointTable(2, 3, 5)
         q, _, _, _ = quadrics(4, 9, 25, x_ring())
         assert any(p.evaluate(q) for p in table.strata["0"])
+
+
+def gamma_passes(report):
+    """verify_gamma's dict passes exactly when its failures list is empty."""
+    holds = (report["points_distinct"] and report["relation_forms_vanish_on_graph"]
+             and report["evaluation_kernel_dimension"] == 6
+             and report["kernel_equals_relation_space"]
+             and report["minors_vanish_at_projections"])
+    assert holds == (report["failures"] == [])
+    return holds
 
 
 class TestVerifyGamma:
     def test_worked_fixture(self):
         report = verify_gamma(4, 9, 25, 2, 3, 5)
-        assert report.all_pass()
-        assert report.kernel_dimension == 6
+        assert list(report) == [
+            "points_distinct", "relation_forms_vanish_on_graph",
+            "evaluation_kernel_dimension", "kernel_equals_relation_space",
+            "minors_vanish_at_projections", "failures"]
+        assert gamma_passes(report)
+        assert report["evaluation_kernel_dimension"] == 6
 
     def test_gaussian_root_fixture(self):
         # beta = (3i)^2 = -9 exercises the imaginary arithmetic throughout
         report = verify_gamma(4, -9, 25, 2, gaussian(0, 3), 5)
-        assert report.all_pass()
+        assert gamma_passes(report)
 
     def test_random_fixtures(self):
         import random
@@ -265,7 +279,7 @@ class TestVerifyGamma:
             al, be, ga = a * a, b * b, c * c
             if not al * be * ga or not al + be + ga + al * be * ga:
                 continue
-            assert verify_gamma(al, be, ga, a, b, c).all_pass()
+            assert gamma_passes(verify_gamma(al, be, ga, a, b, c))
             done += 1
 
     def test_minor_failures_at_a_pair_off_the_point_scheme(self, monkeypatch):
@@ -280,7 +294,7 @@ class TestVerifyGamma:
                 pairs[7] = off
                 return pairs
 
-        monkeypatch.setattr(geometry, "point_table", OffTable)
+        monkeypatch.setattr(geometry, "PointTable", OffTable)
         report = verify_gamma(4, 9, 25, 2, 3, 5)
         ring = x_ring()
         hs = cofactor_minors(matrix_m(4, 9, 25, ring))
@@ -295,9 +309,9 @@ class TestVerifyGamma:
         h_count = sum(f.startswith("minor h") for f in expected)
         assert 0 < h_count < 15
         assert len(expected) - h_count == 15
-        assert report.minors_vanish is False
-        assert not report.all_pass()
-        assert [f for f in report.failures if f.startswith("minor ")] == expected
+        assert report["minors_vanish_at_projections"] is False
+        assert not gamma_passes(report)
+        assert [f for f in report["failures"] if f.startswith("minor ")] == expected
 
     def test_sklyanin_point_refused(self):
         with pytest.raises(PreconditionViolated):

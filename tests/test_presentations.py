@@ -263,6 +263,10 @@ class TestAngleInvariants:
         assert angle_invariant(space, (0, 1, 2, 3)) == (al, be, ga)
         assert angle_invariant(space, (0, 1, 3, 2)) == (-al, -ga, -be)
 
+    def test_zero_parameter_gives_a_zero_invariant(self):
+        # [x0,x1] is a relation at alpha = 0, so the unique mu1 is 0
+        assert angle_invariant(sklyanin_relations(0, 3, 5), (0, 1, 2, 3)) == (0, 3, 5)
+
     def test_rotation_rule(self):
         space = sklyanin_relations(2, 3, 5)
         l1, l2, l3 = angle_invariant(space, (0, 1, 2, 3))

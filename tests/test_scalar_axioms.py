@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadralab.errors import NotInvertible
-from quadralab.extension import adjoin_square_root
+from quadralab.extension import ExtensionField
 from quadralab.poly import MultiPoly, PolyRing, RationalFunction
 from quadralab.scalars import GaussianRational, QQi
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
 RING = PolyRing(("x", "y"))
-SQRT2 = adjoin_square_root(QQi, "t", 2)
+SQRT2 = ExtensionField(QQi, "t", 2, 2)
 
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 _qi = st.builds(GaussianRational, _fractions, _fractions)

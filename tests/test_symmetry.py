@@ -6,7 +6,7 @@ import pytest
 from quadralab import symmetry
 from quadralab.cli import main
 from quadralab.errors import DegenerateParameters, PreconditionViolated
-from quadralab.geometry import ProjectivePoint, point_table
+from quadralab.geometry import PointTable, ProjectivePoint
 from quadralab.poly import FunctionField, PolyRing
 from quadralab.presentations import sklyanin_relations
 from quadralab.scalars import QI_I, QQi, gaussian
@@ -33,7 +33,7 @@ def psis():
 
 @pytest.fixture(scope="module")
 def table():
-    return point_table(2, 3, 5)
+    return PointTable(2, 3, 5)
 
 
 class TestPreservation:
@@ -49,14 +49,12 @@ class TestPreservation:
 
     def test_plain_swap_fails(self):
         space = sklyanin_relations(2, 3, 5)
-        swap = LinearAutomorphism(QQi, [
-            [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        swap = LinearAutomorphism(QQi, (1, 0, 2, 3), (1, 1, 1, 1))
         assert not preserves_relations(swap, space)
 
     def test_scaling_one_generator_fails(self):
         space = sklyanin_relations(4, 9, 25)
-        scale = LinearAutomorphism(QQi, [
-            [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        scale = LinearAutomorphism(QQi, (0, 1, 2, 3), (1, 2, 1, 1))
         assert not preserves_relations(scale, space)
 
     def test_closed_under_composition_and_inverse(self, psis):
@@ -84,10 +82,8 @@ class TestCriterion:
                     for _ in range(4)]
             if not all(lams):
                 continue
-            m = [[gaussian(0)] * 4 for _ in range(4)]
             # x0 -> l0 x1, x1 -> l1 x0, x2 -> l2 x3, x3 -> l3 x2
-            m[1][0], m[0][1], m[3][2], m[2][3] = lams
-            phi = LinearAutomorphism(QQi, m)
+            phi = LinearAutomorphism(QQi, (1, 0, 3, 2), lams)
             assert sklyanin_criterion(lams, (4, 9, 25), (1, 2, 3)) == \
                 preserves_relations(phi, space)
             checked += 1
@@ -131,12 +127,42 @@ class TestGroupStructure:
             assert prod.on_point(p) == step
             assert prod.inverse().on_point(step) == p
         inv = psis[0].inverse()
-        assert psis[0].power(-2).matrix == inv.compose(inv).matrix
+        assert inv.power(2).matrix == inv.compose(inv).matrix
 
     def test_singular_matrix_refused(self):
+        # x2 and x3 both go to x2, or x1 goes to zero
         with pytest.raises(DegenerateParameters, match="flat is singular"):
-            LinearAutomorphism(QQi, [
-                [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]], label="flat")
+            LinearAutomorphism(QQi, (0, 1, 2, 2), (1, 1, 1, 1), label="flat")
+        with pytest.raises(DegenerateParameters, match="flat is singular"):
+            LinearAutomorphism(QQi, (0, 1, 2, 3), (1, 0, 1, 1), label="flat")
+
+    def test_matrices_are_the_stated_ones(self, psis):
+        i = QI_I
+        assert [psi.matrix for psi in psis] == [
+            [[0, -i, 0, 0], [15, 0, 0, 0], [0, 0, 0, -5], [0, 0, -3 * i, 0]],
+            [[0, 0, -i, 0], [0, 0, 0, -5 * i], [10, 0, 0, 0], [0, -2, 0, 0]],
+            [[0, 0, 0, -i], [0, 0, -3, 0], [0, -2 * i, 0, 0], [6, 0, 0, 0]],
+        ]
+        assert [g.matrix for g in gamma_maps()] == [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
+        ]
+
+    def test_a10_sigma_matrix(self, monkeypatch):
+        # the sigma that acceptance criterion A10 builds from SIGMA_IMAGES
+        from quadralab import selftest
+        built = []
+
+        class Recorded(LinearAutomorphism):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(selftest, "LinearAutomorphism", Recorded)
+        assert selftest.a10_elliptic_data()[0]
+        assert [m.matrix for m in built] == [
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]]
 
     def test_dual_tables_are_inverses(self, psis):
         stated = contragredient_table(2, 3, 5)
@@ -208,7 +234,7 @@ class TestChlPsi:
     def test_rho3_sign_is_forced(self):
         # with q3^4 = +da/(bc) the image of the third commutator relation
         # escapes the relation row space, so the map fails to extend
-        from quadralab.extension import adjoin_fourth_root
+        from quadralab.extension import ExtensionField
         from quadralab.freealg import FreeElement
         from quadralab.linalg import SparseEchelon
         from quadralab.presentations import chl_z_relations
@@ -218,15 +244,11 @@ class TestChlPsi:
         rho2 = ((a + b - c + d) * (-a + b - c - d)
                 / ((-a + b + c + d) * (a + b + c - d)))
         rho3_unsignd = (d * a) / (b * c)
-        tower = adjoin_fourth_root(QQi, "q2", rho2)
-        tower = adjoin_fourth_root(tower, "q3", rho3_unsignd)
+        tower = ExtensionField(ExtensionField(QQi, "q2", 4, rho2), "q3", 4, rho3_unsignd)
         q2 = tower.coerce(tower.base.root())
         q3 = tower.root()
         taus = (-(q2 * q3), (q2 * q3).inverse(), q2 / q3, q3 / q2)
-        zero = tower.zero()
-        m = [[zero] * 4 for _ in range(4)]
-        m[1][0], m[0][1], m[3][2], m[2][3] = taus
-        bad = LinearAutomorphism(tower, m)
+        bad = LinearAutomorphism(tower, (1, 0, 3, 2), taus)
         space = chl_z_relations(1, 2, -4, 2, verify=False)
         lifted = [FreeElement({w: tower.coerce(v) for w, v in e.terms.items()})
                   for e in space.elements]
