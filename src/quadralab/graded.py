@@ -31,8 +31,16 @@ so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
 for the exact ones and are labeled as evidence, not proof.
 
-A word's class in A_n composes the mu maps along its letters; membership,
-normal forms and centrality read that class.  Certificates use
+An element's class in A_n composes the mu maps: the words ending in x_b
+form an element of degree n - 1 times x_b, whose class in A_{n-1} fills
+the columns of A_{n-1} (x) V that degree n's mu projects to A_n; membership,
+normal forms and centrality read that class.  The read side keeps its values
+unsettled, as the kernel does: over Q(i) (x, y, d) int triples summed by
+``linalg.add_multiple_qi``, over F_p unreduced ints.  Each coordinate of a
+class is settled once, with one gcd or one ``% p`` (``linalg.settled``), and
+an image goes to the kernel unsettled, which settles each column as it pops
+it; so at A(2,-3,-1/5) a 30-word degree-5 normal form makes no
+``GaussianRational`` product or sum.  Certificates use
 (R)_n = (R)_{n-1} V + N_{n-2} R, N the span of the normal words: the
 degree-n rows account for f's image in A_{n-1} (x) V, and what is left is
 certified one degree down, letter by letter.
@@ -54,10 +62,10 @@ from itertools import product
 
 from .errors import DegreeCapExceeded, InvalidInput, NotInvertible, PreconditionViolated
 from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word, word_index
-from .linalg import SparseEchelon, residues
+from .linalg import SparseEchelon, add_multiple, add_multiple_qi, residues, settled, unsettled
 from .poly import FunctionField, MacaulaySlice, RationalFunction
 from .presentations import RelationSpace
-from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, gaussian
+from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, RationalField, gaussian
 
 DEFAULT_DEGREE_CAP = 7
 #: the Q(i) point at which function-field quotients are specialised, one
@@ -88,15 +96,12 @@ def _check_cap(n: int, force=False):
         raise DegreeCapExceeded(n, cap)
 
 
-def _add_scaled(out: dict, vec: dict, c):
-    """out += c * vec, dropping entries that cancel."""
-    for k, v in vec.items():
-        s = out.get(k)
-        s = c * v if s is None else s + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+def _by_last_letter(terms: dict) -> dict:
+    """{b: {w: value}} for the terms {w + (b,): value}."""
+    pieces = {}
+    for word, v in terms.items():
+        pieces.setdefault(word[-1], {})[word[:-1]] = v
+    return pieces
 
 
 class QuotientTower:
@@ -120,6 +125,12 @@ class QuotientTower:
         self._mu = [None, [[{j: self.one}] for j in range(NGENS)]]
         self._open = None         # the top degree's echelon while its mu is unread
         self._tracked = {}        # degree -> the degree's rows, certificate-tracked
+        if isinstance(field, PrimeField):
+            self._add = add_multiple
+        elif isinstance(field, RationalField):
+            self._add = add_multiple_qi
+        else:
+            raise PreconditionViolated("the quotient tower is built over Q(i) or F_p only")
 
     def dimension(self, n: int) -> int:
         while len(self.words) <= n:
@@ -193,36 +204,35 @@ class QuotientTower:
                     mu[j].append({index[c]: v for c, v in ech.pivot_residual(col).items()})
         self._mu.append(mu)
 
-    def _project(self, vec: dict, n: int) -> dict:
-        """A vector of A_{n-1} (x) V mapped to A_n (degree n's mu already read)."""
+    def _class(self, terms: dict, n: int) -> dict:
+        """The class in A_n of the degree-n element {word: value}, unsettled.
+
+        Values come and go as ``unsettled`` leaves them (degree n's mu
+        already read): each column of the image is projected once, by
+        adding its value times a row of mu.
+        """
+        if n == 1:
+            return {word[0]: v for word, v in terms.items()}
+        add, mu = self._add, self._mu[n]
         out = {}
-        for col, v in vec.items():
+        for col, v in self._image(terms, n).items():
             i, j = divmod(col, NGENS)
-            _add_scaled(out, self._mu[n][j][i], v)
+            add(out, None, v, mu[j][i])
         return out
 
     def _image(self, terms: dict, n: int) -> dict:
-        """The image in A_{n-1} (x) V of the degree-n element {word: coeff}."""
-        classes = {(): {0: self.one}}
+        """The image in A_{n-1} (x) V of the degree-n element {word: value}, unsettled.
 
-        def class_of(word):
-            # prefixes are shared between the words of one element
-            if word not in classes:
-                below = class_of(word[:-1])
-                classes[word] = self._project(
-                    {k * NGENS + word[-1]: v for k, v in below.items()}, len(word))
-            return classes[word]
-
-        out = {}
-        for word, c in terms.items():
-            _add_scaled(out, {k * NGENS + word[-1]: v
-                              for k, v in class_of(word[:-1]).items()}, c)
-        return out
+        The words ending in x_b make one element of degree n - 1 times x_b,
+        and its class fills the columns k * 4 + b.
+        """
+        return {k * NGENS + b: v for b, piece in _by_last_letter(terms).items()
+                for k, v in self._class(piece, n - 1).items()}
 
     def coordinates(self, f: FreeElement, n: int) -> dict:
         """The class of the degree-n element f in A_n, over the basis words[n]."""
         self.mu(n)
-        return residues(self.field, self._project(self._image(residues(self.field, f.terms), n), n))
+        return settled(self.field, self._class(unsettled(self.field, f.terms), n))
 
     def certificate(self, f: FreeElement, n: int):
         """f as a list of (left word, relation index, right word, coeff), or None.
@@ -232,7 +242,7 @@ class QuotientTower:
         """
         self.dimension(n)
         out = []
-        pending = [(dict(residues(self.field, f.terms)), n, ())]
+        pending = [(unsettled(self.field, f.terms), n, ())]
         while pending:
             terms, m, right = pending.pop()
             if m not in self._tracked:
@@ -242,16 +252,16 @@ class QuotientTower:
             residual, combo = self._tracked[m].reduce_with_combo(self._image(terms, m))
             if residual:
                 return None  # only f itself can fail: the later pieces lie in (R)_m
+            negated = unsettled(self.field, {tag: -lam for tag, lam in combo.items()})
             for (i, r), lam in combo.items():
                 left = index_word(self.words[m - 2][i], m - 2)
                 out.append((left, r, right, lam))
-                _add_scaled(terms, {left + divmod(c, NGENS): v
-                                    for c, v in self.rows[r].items()}, -lam)
+                self._add(terms, None, negated[i, r],
+                          {left + divmod(c, NGENS): v for c, v in self.rows[r].items()})
             # what is left has image zero, so each letter's piece lies in (R)_{m-1}
-            pieces = {}
-            for word, v in residues(self.field, terms).items():
-                pieces.setdefault(word[-1], {})[word[:-1]] = v
-            pending += [(piece, m - 1, (j,) + right) for j, piece in pieces.items()]
+            rest = unsettled(self.field, settled(self.field, terms))
+            pending += [(piece, m - 1, (j,) + right)
+                        for j, piece in _by_last_letter(rest).items()]
         return out
 
 
@@ -405,10 +415,9 @@ class GradedQuotient:
     def tower(self, backend="exact") -> QuotientTower:
         """The quotient-side recursion over the field the backend names.
 
-        Refused over a function field (see ``parametric``).
+        Refused over a function field (see ``parametric``), as over any
+        field but Q(i).
         """
-        if self._symbolic:
-            raise PreconditionViolated("the quotient tower is not built over a function field")
         if backend not in self._towers:
             if backend == "exact":
                 tower = QuotientTower(self.space.field, self.space.rows)
@@ -558,11 +567,15 @@ class HilbertProfile:
 
 
 def verify_certificate(space: RelationSpace, certificate, expected: FreeElement) -> bool:
-    """Re-expand a membership certificate and compare with the target."""
-    total = FreeElement()
-    for left, rel_idx, right, coeff in certificate:
-        w = FreeElement.from_word(left, space.field.one())
-        r = space.elements[rel_idx]
-        wp = FreeElement.from_word(right, space.field.one())
-        total = total + (w * r * wp).scale(coeff)
-    return total == expected
+    """Re-expand a membership certificate and compare with the target, exactly.
+
+    A term (w, k, w', c) adds c * v at the word w + u + w' for each term
+    v * u of relation k, in the relations' own field.
+    """
+    total = {}
+    for left, k, right, coeff in certificate:
+        for word, v in space.elements[k].terms.items():
+            key = left + word + right
+            s = total.get(key)
+            total[key] = coeff * v if s is None else s + coeff * v
+    return {w: v for w, v in total.items() if v} == expected.terms

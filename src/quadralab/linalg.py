@@ -13,15 +13,20 @@ column, normalized to 1, so reduction against the basis scans columns left
 to right and never reintroduces a pivot column.  Pivot choice is therefore
 "lex-first", which makes normal forms canonical.
 
-Reduction is lazy: a row update neither tests for zero nor, over F_p,
-takes a remainder.  Over Q(i) the values under elimination are (x, y, d)
-int triples, not ``GaussianRational``s: a product is not reduced, and a sum
-is taken over the lcm of the two denominators and divided by its gcd only
-when that lcm is larger than both.  A column's value is settled when the
-column is popped (over F_p taken mod p, over Q(i) divided by one gcd into a
-``GaussianRational`` in normal form; dropped if it is zero), and every
-column of the vector is popped exactly once, so what the kernel returns is
-canonical.
+Reduction is lazy: a row update (``add_multiple``) neither tests for zero
+nor, over F_p, takes a remainder.  Over Q(i) the values under elimination
+are (x, y, d) int triples, not ``GaussianRational``s (``add_multiple_qi``):
+a product is not reduced, and a sum is taken over the lcm of the two
+denominators and divided by its gcd only when that lcm is larger than both.
+A column's value is settled when the column is popped (over F_p taken mod p,
+over Q(i) divided by one gcd into a ``GaussianRational`` in normal form;
+dropped if it is zero), and every column of the vector is popped exactly
+once, so what the kernel returns is canonical.  A Q(i) vector may come in
+as triples already.
+
+The quotient tower reads classes with the same two helpers and the same
+forms: ``unsettled`` brings a vector to them, and ``settled`` settles each
+value once, into the kernel's canonical form.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
 quotient tower and Macaulay slices all use it.
@@ -37,6 +42,30 @@ import heapq
 from math import gcd, lcm
 
 from .scalars import GaussianRational, PrimeField, RationalField, _reduced
+
+
+def unsettled(field, vec):
+    """vec with each value in the form sums of it accumulate in over field.
+
+    Over F_p that is ``residues``; over Q(i) each value becomes its
+    (x, y, d) triple, as ``add_multiple_qi`` and ``settled`` read it.
+    """
+    if isinstance(field, PrimeField):
+        return residues(field, vec)
+    coerce = field.coerce
+    return {k: (z.x, z.y, z.d) for k, v in vec.items() if (z := coerce(v))}
+
+
+def settled(field, vec):
+    """An accumulated vec in canonical form, its zeros dropped.
+
+    Over F_p each int is taken mod p; over Q(i) each triple is divided by
+    one gcd into a ``GaussianRational`` in normal form.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        return {k: r for k, v in vec.items() if (r := v % p)}
+    return {k: _reduced(x, y, d) for k, (x, y, d) in vec.items() if x or y}
 
 
 def residues(field, vec):
@@ -102,38 +131,30 @@ class SparseEchelon:
                 vec[col] = coeff
                 continue
             del vec[col]
-            neg = -coeff
-            for c, v in rows[ridx].items():
-                if c == col:
-                    continue
-                s = vec.get(c)
-                if s is None:
-                    vec[c] = neg * v
-                    heapq.heappush(heap, c)
-                else:
-                    vec[c] = s + neg * v
+            add_multiple(vec, heap, -coeff, rows[ridx], col)
             if combo is not None:
-                for k, v in self.combos[ridx].items():
-                    s = combo.get(k)
-                    combo[k] = neg * v if s is None else s + neg * v
+                add_multiple(combo, None, -coeff, self.combos[ridx])
         return vec
 
     def _reduce_qi(self, vec, combo):
         """``_reduce`` over Q(i), on (x, y, d) int triples.
 
-        While a column is in the heap its value is a triple (x + y*i)/d with
-        d > 0, not necessarily reduced (``_subtract_multiple`` says when an
-        update reduces it).  When the column is popped its triple is settled
-        with one gcd into a ``GaussianRational`` (or dropped if it is zero),
-        so the pivot coefficient is in normal form before it is used.  combo
-        accumulates triples the same way and is settled once, at the end.
+        vec's values are ``GaussianRational``s, triples or anything the field
+        coerces.  While a column is in the heap its value is a triple
+        (x + y*i)/d with d > 0, not necessarily reduced (``add_multiple_qi``
+        says when an update reduces it).  When the column is popped its
+        triple is settled with one gcd into a ``GaussianRational`` (or
+        dropped if it is zero), so the pivot coefficient is in normal form
+        before it is used.  combo accumulates triples the same way and is
+        settled once, at the end.
         """
         rows, pivot_of, combos = self.rows, self.pivot_of, self.combos
         coerce = self.field.coerce
         for c, v in vec.items():
-            if type(v) is not GaussianRational:
-                v = coerce(v)
-            vec[c] = (v.x, v.y, v.d)
+            if type(v) is not tuple:
+                if type(v) is not GaussianRational:
+                    v = coerce(v)
+                vec[c] = (v.x, v.y, v.d)
         heap = list(vec)
         heapq.heapify(heap)
         while heap:
@@ -148,9 +169,10 @@ class SparseEchelon:
                 vec[col] = coeff
                 continue
             del vec[col]
-            _subtract_multiple(vec, heap, coeff, rows[ridx], col)
+            neg = (-coeff.x, -coeff.y, coeff.d)
+            add_multiple_qi(vec, heap, neg, rows[ridx], col)
             if combo is not None:
-                _subtract_multiple(combo, None, coeff, combos[ridx], _NO_KEY)
+                add_multiple_qi(combo, None, neg, combos[ridx])
         if combo:
             for k, t in combo.items():
                 combo[k] = _reduced(*t)
@@ -218,23 +240,42 @@ class SparseEchelon:
         return _negated(rest, self.p)
 
 
-#: a skip for ``_subtract_multiple`` that no column or tag equals
+#: a skip for ``add_multiple`` that no column or tag equals
 _NO_KEY = object()
 
 
-def _subtract_multiple(acc, heap, coeff, row, skip):
-    """acc -= coeff * row, on the triples of ``_reduce_qi``.
+def add_multiple(acc, heap, coeff, row, skip=_NO_KEY):
+    """acc += coeff * row with the field's own + and *, row's column skip left out.
 
-    row holds ``GaussianRational``s; its column skip is left out.  A product
-    is not reduced, and each sum is taken over the lcm of the two
-    denominators.  Only when that lcm is larger than both is the sum divided
-    by its gcd, which keeps the denominators near their reduced size: left
-    to grow, their mean reaches about five times the bits of the settled
-    ones at degree 7 of the Sklyanin tower, and the lcms then cost more than
-    the gcds they replace.  A column new to acc is pushed on heap, if one is
-    given.
+    Nothing is tested for zero, and over F_p nothing is taken mod p: the
+    ints stay unreduced until their reader settles them.  A column new to
+    acc is pushed on heap, if one is given.
     """
-    x, y, d = -coeff.x, -coeff.y, coeff.d
+    for c, v in row.items():
+        if c == skip:
+            continue
+        s = acc.get(c)
+        if s is None:
+            acc[c] = coeff * v
+            if heap is not None:
+                heapq.heappush(heap, c)
+        else:
+            acc[c] = s + coeff * v
+
+
+def add_multiple_qi(acc, heap, coeff, row, skip=_NO_KEY):
+    """``add_multiple`` over Q(i), on (x, y, d) int triples.
+
+    coeff and the values of acc are triples (x + y*i)/d with d > 0, not
+    necessarily reduced; row holds ``GaussianRational``s.  A product is not
+    reduced, and each sum is taken over the lcm of the two denominators.
+    Only when that lcm is larger than both is the sum divided by its gcd,
+    which keeps the denominators near their reduced size: left to grow,
+    their mean reaches about five times the bits of the settled ones at
+    degree 7 of the Sklyanin tower, and the lcms then cost more than the
+    gcds they replace.
+    """
+    x, y, d = coeff
     for c, v in row.items():
         if c == skip:
             continue

@@ -17,6 +17,8 @@ from quadralab.poly import FunctionField, PolyRing
 from quadralab.presentations import chl_z_relations, sklyanin_relations
 from quadralab.scalars import gaussian
 
+from test_graded import tampered
+
 
 @pytest.fixture(scope="module")
 def symbolic():
@@ -86,6 +88,15 @@ def test_perturbed_centrals_fail_at_exactly_three_generators(symbolic, at_point,
             assert all(v.den == F.ring.one() for *_, v in cert)
             # cross-check: the specialised member is a member at the point
             assert at_point.contains(_specialised(bracket))
+
+
+def test_tampered_certificates_are_refused(symbolic):
+    F, (a, b, c, d), quotient = symbolic
+    bracket = commutator(chl_z1(a, b, c, d, field=F)[1], generators(F)[1])
+    cert = quotient.membership_certificate(bracket)
+    assert verify_certificate(quotient.space, cert, bracket)
+    for wrong in tampered(cert):
+        assert not verify_certificate(quotient.space, wrong, bracket)
 
 
 def test_refusals(symbolic):

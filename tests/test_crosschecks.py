@@ -7,10 +7,13 @@ robustness checks on the scalar parser.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from quadralab import linalg
 from quadralab.errors import ScalarParseError
 from quadralab.extension import ExtensionField
 from quadralab.freealg import FreeElement, from_vector
@@ -24,18 +27,34 @@ from quadralab.symmetry import ChlPsi
 from slice_oracle import ExactSlices
 
 
+@pytest.fixture(scope="module")
+def both_sides():
+    """(quotient, ideal slices) for three algebras, shared by the checks that pit them."""
+    return [(GradedQuotient(space), ExactSlices(space))
+            for space in (sklyanin_relations(2, 3, 5),
+                          sklyanin_relations(2, -3, Fraction(-1, 5)),
+                          chl_relations(1, 2, -4, 2))]
+
+
+def _dense(rng, n, count):
+    """A degree-n element of count words, denominators 1-7 and nonzero i-parts."""
+    f = FreeElement()
+    for _ in range(count):
+        word = tuple(rng.randrange(4) for _ in range(n))
+        coeff = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                 Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
+        f = f + FreeElement.from_word(word, coeff)
+    return f
+
+
 class TestBackendCrossValidation:
-    def test_quotient_side_equals_ideal_side(self):
+    def test_quotient_side_equals_ideal_side(self, both_sides):
         # the recursion on A_{n-1} (x) V and the slices of (R) in V^n share
         # only the echelon kernel: equal dimensions, equal normal words and
         # equal normal forms through degree 5 check the recursion
         rng = random.Random(29)
-        for space in (sklyanin_relations(2, 3, 5),
-                      sklyanin_relations(2, -3, Fraction(-1, 5)),
-                      chl_relations(1, 2, -4, 2)):
-            quotient = GradedQuotient(space)
+        for quotient, slices in both_sides:
             tower = quotient.tower("exact")
-            slices = ExactSlices(space)
             for n in range(2, 6):
                 ideal = slices.slice(n)
                 assert quotient.dimension(n) == 4 ** n - ideal.rank
@@ -49,6 +68,36 @@ class TestBackendCrossValidation:
                         f = f + FreeElement.from_word(word, coeff)
                     residual = ideal.reduce(f.coefficient_vector(n))
                     assert quotient.normal_form(f) == from_vector(residual, n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_read_side_on_dense_elements(self, both_sides, n, monkeypatch):
+        # the class is read on unsettled triples and settled once per
+        # coordinate; mixed denominators make the sums take lcms and gcds
+        calls = Counter()
+
+        def counted(name, original):
+            return lambda *args: calls.update([name]) or original(*args)
+
+        rng = random.Random(97 + n)
+        for quotient, slices in both_sides:
+            exact, modular = quotient.tower("exact"), quotient.tower("modular")
+            ideal = slices.slice(n)
+            exact.mu(n)
+            for _ in range(3):
+                f = _dense(rng, n, 8 * n)
+                with monkeypatch.context() as patch:
+                    for name in ("lcm", "gcd"):
+                        patch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+                    coords = exact.coordinates(f, n)
+                assert all(type(v) is GaussianRational and v and v.d > 0
+                           and gcd(v.x, v.y, v.d) == 1 for v in coords.values())
+                residual = ideal.reduce(f.coefficient_vector(n))
+                assert {exact.words[n][k]: v for k, v in coords.items()} == residual
+                assert modular.coordinates(f, n) == residues(modular.field, coords)
+                member = f - from_vector(residual, n)
+                assert exact.coordinates(member, n) == {}
+                assert modular.coordinates(member, n) == {}
+        assert calls["lcm"] and calls["gcd"]
 
     def test_modular_tower_is_the_exact_tower_mod_p(self):
         # the two backends eliminate over different fields; where p divides

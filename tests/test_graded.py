@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from quadralab.errors import DegreeCapExceeded, PreconditionViolated
-from quadralab.freealg import FreeElement, from_vector, generators
+from quadralab.freealg import FreeElement, from_vector, generators, index_word
 from quadralab.graded import GradedQuotient, QuotientTower, degree_cap, verify_certificate
 from quadralab.linalg import SparseEchelon, residues
 from quadralab.presentations import chl_relations, sklyanin_relations
-from quadralab.scalars import QQi, gaussian
+from quadralab.scalars import GaussianRational, QQi, gaussian
 
 from slice_oracle import ExactSlices
 
@@ -172,6 +172,15 @@ class TestCertificates:
         assert cert is not None
         assert verify_certificate(generic.space, cert, diff)
 
+    @pytest.mark.parametrize("point", ["generic", "sklyanin"])
+    def test_tampered_certificates_are_refused(self, request, point):
+        quotient = request.getfixturevalue(point)
+        h = _seeded_member(quotient.space, 4, random.Random(31))
+        cert = quotient.membership_certificate(h)
+        assert verify_certificate(quotient.space, cert, h)
+        for wrong in tampered(cert):
+            assert not verify_certificate(quotient.space, wrong, h)
+
     def test_non_member(self, generic):
         x = generators()
         assert generic.membership_certificate(x[0] * x[0]) is None
@@ -193,6 +202,18 @@ class TestCertificates:
         assert cert is not None and verify_certificate(quotient.space, cert, h)
         # a pure power is never in the ideal when alpha*beta*gamma != 0
         assert quotient.membership_certificate(h + FreeElement.from_word((0,) * n, one)) is None
+
+
+def tampered(cert):
+    """Three wrong copies of a certificate of degree 3 or more: a changed
+    coefficient, a swapped relation index and a word shifted by a letter."""
+    left, k, right, coeff = cert[0]
+    if left:
+        shifted = (left[:-1], k, (left[-1],) + right, coeff)
+    else:
+        shifted = (left + right[:1], k, right[1:], coeff)
+    for first in [(left, k, right, coeff + coeff), (left, (k + 1) % 6, right, coeff), shifted]:
+        yield [first] + cert[1:]
 
 
 def _seeded_member(space, n, rng):
@@ -220,6 +241,50 @@ def _re_expands(quotient, backend, cert, h):
             w = left + divmod(c, 4) + right
             expanded[w] = (expanded.get(w, 0) + lam * v) % p
     return {w: v for w, v in expanded.items() if v} == residues(tower.field, h.terms)
+
+
+class TestReadSide:
+    """Classes are read on unsettled values, settled once per coordinate."""
+
+    @pytest.mark.parametrize("backend", ["exact", "modular"])
+    def test_coordinates_return_a_fresh_dict(self, sklyanin, backend):
+        # the class of e_i * x_j is the row mu_j(e_i); mutating what
+        # coordinates returns must reach neither mu nor a repeated call
+        n = 4
+        tower = sklyanin.tower(backend)
+        before = [[dict(row) for row in mu_j] for mu_j in tower.mu(n)]
+        one = gaussian(1)
+        for i, rank in enumerate(tower.words[n - 1]):
+            for j in range(4):
+                f = FreeElement.from_word(index_word(rank, n - 1) + (j,), one)
+                got = tower.coordinates(f, n)
+                assert got == before[j][i]
+                got.clear()
+                got[0] = 7
+                assert tower.coordinates(f, n) == before[j][i]
+        assert tower.mu(n) == before
+
+    def test_normal_form_makes_no_scalar_products_or_sums(self, monkeypatch):
+        # a count, not a timing: reading the class with GaussianRational
+        # arithmetic would make 833 products and 454 sums here
+        quotient = GradedQuotient(sklyanin_relations(2, -3, Fraction(-1, 5)))
+        quotient.tower().mu(5)
+        rng = random.Random(101)
+        f = FreeElement()
+        for _ in range(30):
+            word = tuple(rng.randrange(4) for _ in range(5))
+            f = f + FreeElement.from_word(word, gaussian(Fraction(rng.randint(1, 9), rng.randint(1, 7)),
+                                                         rng.randint(-2, 2)))
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            original = getattr(GaussianRational, name)
+            monkeypatch.setattr(GaussianRational, name,
+                                lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        form = quotient.normal_form(f)
+        monkeypatch.undo()
+        assert calls == []
+        assert form and quotient.contains(f - form)
 
 
 class TestLazyMaps:
