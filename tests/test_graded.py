@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from quadralab import linalg
 from quadralab.errors import DegreeCapExceeded, PreconditionViolated
 from quadralab.freealg import FreeElement, from_vector, generators, index_word
 from quadralab.graded import GradedQuotient, QuotientTower, degree_cap, verify_certificate
@@ -203,6 +205,31 @@ class TestCertificates:
         # a pure power is never in the ideal when alpha*beta*gamma != 0
         assert quotient.membership_certificate(h + FreeElement.from_word((0,) * n, one)) is None
 
+    #: the first 16 hex digits of the sha256 of repr of the degree 3-6
+    #: certificates below, as a tower that eliminated the given relations in
+    #: every degree made them
+    GIVEN_RELATION_DIGESTS = {
+        "A(2,3,5)": (lambda: sklyanin_relations(2, 3, 5), "9adadef9c2c0c558"),
+        "A(2,-3,-1/5)": (lambda: sklyanin_relations(2, -3, Fraction(-1, 5)), "27cd07585abdf42e"),
+        "CHL(1,2,-4,2)": (lambda: chl_relations(1, 2, -4, 2), "a64dd0fc63fb1234"),
+    }
+
+    @pytest.mark.parametrize("label", list(GIVEN_RELATION_DIGESTS))
+    def test_certificates_name_the_given_relations(self, label):
+        # the tower's higher degrees eliminate the reduced relations; its
+        # certificates still name and re-expand the six given ones
+        make, digest = self.GIVEN_RELATION_DIGESTS[label]
+        space = make()
+        quotient = GradedQuotient(space)
+        certs = []
+        for n in range(3, 7):
+            h = _seeded_member(space, n, random.Random(n))
+            cert = quotient.membership_certificate(h)
+            assert {k for _, k, _, _ in cert} <= set(range(6))
+            assert verify_certificate(space, cert, h)
+            certs.append(cert)
+        assert hashlib.sha256(repr(certs).encode()).hexdigest()[:16] == digest
+
 
 def tampered(cert):
     """Three wrong copies of a certificate of degree 3 or more: a changed
@@ -385,17 +412,47 @@ def _seeded_point(kind, seed):
             return alpha, beta, gaussian(rng.randint(-5, 5), rng.randint(1, 3))
 
 
+def _dense_relations(seed):
+    """A(2,3,5) under a seeded unipotent substitution of the generators:
+    relations of 6 to 11 terms, several of them ending in one letter."""
+    rng = random.Random(seed)
+    matrix = [[gaussian(int(k == j) if k >= j else rng.randint(-1, 1)) for j in range(4)]
+              for k in range(4)]
+    return sklyanin_relations(2, 3, 5).transformed(matrix, "dense")
+
+
+def _space(kind, seed):
+    if kind == "chl":
+        return chl_relations(1, 2, -4, 2)
+    if kind == "dense":
+        return _dense_relations(seed)
+    return sklyanin_relations(*_seeded_point(kind, seed))
+
+
 class TestInsertionOrder:
-    """``_extend`` sorts degree n's rows; ``words`` and mu cannot depend on that."""
+    """``_extend`` sorts degree n's rows and builds them from the reduced
+    relations; ``words`` and mu can depend on neither."""
 
     TOP = 6
 
     @staticmethod
     def _reference(tower, n):
-        """words[n] and mu(n) from the rows in generation order, back-substituted."""
+        """words[n] and mu(n) from the given relations' rows in generation
+        order, back-substituted.
+
+        Row (i, r) is e_i * r: the sum of v * mu_a(e_i) (x) x_b over the
+        terms v x_a x_b of the given relation r.
+        """
+        below = tower.mu(n - 1)
         ech = SparseEchelon(tower.field)
-        for _, row in tower._image_rows(n):
-            ech.insert(row)
+        for i in range(len(tower.words[n - 2])):
+            for rel in tower.rows:
+                row = {}
+                for c, v in rel.items():
+                    a, b = divmod(c, 4)
+                    for k, w in below[a][i].items():
+                        row[k * 4 + b] = row.get(k * 4 + b, 0) + v * w
+                ech.insert(row)
         ech.back_substitute()
         prev = tower.words[n - 1]
         free = [c for c in range(4 * len(prev)) if c not in ech.pivot_of]
@@ -407,9 +464,10 @@ class TestInsertionOrder:
 
     @pytest.mark.parametrize("backend", ["exact", "modular"])
     @pytest.mark.parametrize("kind, seed", [("sklyanin", 71), ("sklyanin", 73),
-                                            ("generic", 79), ("generic", 83)])
+                                            ("generic", 79), ("generic", 83),
+                                            ("chl", None), ("dense", 89)])
     def test_words_and_maps_match_generation_order(self, kind, seed, backend):
-        quotient = GradedQuotient(sklyanin_relations(*_seeded_point(kind, seed)), p=65537)
+        quotient = GradedQuotient(_space(kind, seed), p=65537)
         tower = quotient.tower(backend)
         for n in range(2, self.TOP + 1):
             words, mu = self._reference(tower, n)
@@ -417,14 +475,49 @@ class TestInsertionOrder:
             assert tower.words[n] == words
             assert tower.mu(n) == mu
 
+    def test_dense_relations_reach_the_summing_branch(self):
+        # some row sums two products into one column, which Sklyanin
+        # relations, whose terms all end in different letters, never do
+        tower = GradedQuotient(_dense_relations(89)).tower()
+        below = tower.mu(3)
+        products = [sum(len(below[c // 4][i]) for c in rel)
+                    for i in range(len(tower.words[2])) for rel in tower._reduced]
+        rows = [row for _, row in tower._image_rows(4, tower._reduced)]
+        assert any(len(row) < k for row, k in zip(rows, products))
+
     @pytest.mark.parametrize("params, bound", [((2, -3, Fraction(-1, 5)), 2000),
                                                ((2, 3, 5), 350)])
     def test_open_echelon_stays_sparse(self, params, bound):
-        # a count, not a timing: 1,449 and 266 entries, against 3,897 and
-        # 591 when the rows go in as they are generated
+        # a count, not a timing: 1,410 and 241 entries, against 3,746 and
+        # 558 when the rows go in as they are generated
         tower = GradedQuotient(sklyanin_relations(*params)).tower()
         tower.dimension(6)
         assert sum(len(row) for row in tower._open.rows) <= bound
+
+    def test_reduced_relations_make_fewer_entries(self, monkeypatch):
+        # a count, not a timing: degree 6's image rows hold 2,994 entries,
+        # against 3,840 from the given relations, and eliminating them
+        # makes 1,619 row updates of 13,903 entries, against 2,203 of 19,113
+        tower = GradedQuotient(sklyanin_relations(2, -3, Fraction(-1, 5))).tower()
+        tower.mu(5)
+        updates = []
+        add = linalg.add_multiple_qi
+        monkeypatch.setattr(linalg, "add_multiple_qi",
+                            lambda acc, heap, coeff, row, *skip:
+                            updates.append(len(row)) or add(acc, heap, coeff, row, *skip))
+
+        def counts(relations):
+            rows = [row for _, row in tower._image_rows(6, relations)]
+            rows.sort(key=lambda row: min(row, default=-1), reverse=True)
+            updates.clear()
+            ech = SparseEchelon(tower.field)
+            for row in rows:
+                ech.insert(row)
+            return sum(map(len, rows)), len(updates), sum(updates)
+
+        reduced, given = counts(tower._reduced), counts(tower.rows)
+        assert 5 * reduced[0] <= 4 * given[0]
+        assert 4 * reduced[1] <= 3 * given[1] and 4 * reduced[2] <= 3 * given[2]
 
     def test_empty_rows(self):
         # six monomial relations: from degree 3 on, e_i * r is often zero
