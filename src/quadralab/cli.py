@@ -5,8 +5,9 @@ as exact literals, collections in fixed orders, and the payload carries
 the parameters, backend, and library version but no timestamps.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-says which), 2 invalid input, 141 (128 + SIGPIPE) stdout was closed before
-the report was written out.
+says which) or a parameter lies outside the command's domain (``check
+failed:`` on stderr, nothing on stdout), 2 invalid input, 141 (128 +
+SIGPIPE) stdout was closed before the report was written out.
 
 The argument parser is built on the first call to ``main`` and reused by
 every later call in the same process.  That is safe: ``parse_args``
@@ -167,7 +168,7 @@ def cmd_points(args):
     ]
     payload["distinct"] = table.all_distinct()
     _emit(payload, args.format)
-    return 0 if table.all_distinct() else 1
+    return 0 if payload["distinct"] else 1
 
 
 def cmd_verify_gamma(args):

@@ -11,14 +11,18 @@ module verifies every piece of that picture by exact evaluation.
 
 ``maximal_minors`` builds the fifteen minors of a 6x4 matrix (M, or M'
 transposed) by Laplace expansion over shared 2x2 minors.  At the twenty
-points the minors are not evaluated one by one: the rank of the numeric
-matrix M(p) says whether all of them vanish there.
+points the minors are not evaluated one by one: at a graph pair (p, p'),
+M(p) p'^T = 0 puts p' in the kernel of M(p), so its rank is at most 3 and
+all of them vanish at p (likewise M'(p')^T p^T = 0 at p').  Both products
+are dot products of relation rows with the pair's evaluation row.
 
 Square roots (a, b, c) of the parameters are explicit inputs throughout,
 so the twenty-point table stays inside Q(i) for rational fixtures.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import DegenerateParameters, PreconditionViolated
 from .linalg import SparseEchelon
@@ -88,6 +92,23 @@ def _linear_coefficients(matrix, ring):
              for entry in row] for row in matrix]
 
 
+def _matrix_rows(alpha, beta, gamma):
+    """M and M' transposed as linear coefficients and as relation rows.
+
+    Returns ((m, m_rows), (mpt, mp_rows)): m and mpt hold each entry's
+    (letter, coefficient) pairs, and m_rows[i] is row i of M x^T, mp_rows[i]
+    column i of x M', as relation rows.  A relation row is indexed
+    4 * (left letter) + (right letter); the entries of M stand left of x_j,
+    those of M' right of x_j.
+    """
+    ring = x_ring()
+    m = _linear_coefficients(matrix_m(alpha, beta, gamma, ring), ring)
+    mpt = _linear_coefficients(_transpose(matrix_m_prime(alpha, beta, gamma, ring)), ring)
+    m_rows = [{k * 4 + j: c for j, entry in enumerate(row) for k, c in entry} for row in m]
+    mp_rows = [{j * 4 + k: c for j, entry in enumerate(row) for k, c in entry} for row in mpt]
+    return (m, m_rows), (mpt, mp_rows)
+
+
 def verify_matrix_consistency(alpha, beta, gamma) -> dict:
     """Check both matrix encodings against the relation rows.
 
@@ -97,13 +118,7 @@ def verify_matrix_consistency(alpha, beta, gamma) -> dict:
     for x M'.
     """
     space = sklyanin_relations(alpha, beta, gamma)
-    ring = x_ring()
-    m = _linear_coefficients(matrix_m(alpha, beta, gamma, ring), ring)
-    mpt = _linear_coefficients(_transpose(matrix_m_prime(alpha, beta, gamma, ring)), ring)
-    # a relation row is indexed 4 * (left letter) + (right letter); the entries
-    # of M stand left of x_j, those of M' right of x_j
-    m_rows = [{k * 4 + j: c for j, entry in enumerate(row) for k, c in entry} for row in m]
-    mp_rows = [{j * 4 + k: c for j, entry in enumerate(row) for k, c in entry} for row in mpt]
+    (_, m_rows), (_, mp_rows) = _matrix_rows(alpha, beta, gamma)
     report = {"m_matches": [], "m_prime_matches": []}
     for label, rows, key in (("M", m_rows, "m_matches"),
                              ("M'", mp_rows, "m_prime_matches")):
@@ -434,14 +449,19 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> dict:
     Each graph pair (p, p') gives one evaluation row, whose coordinate
     4k + l is p[k] p'[l]: a relation row's form value at the pair is its
     dot product with that row, and the twenty rows give the 20x16 rank.
+    The row holds unsettled (x, y, d) triples with one d, so a form value
+    is zero exactly when its integer numerator is.
 
-    (iv) is decided exactly, and independently of (ii), from the numeric
-    matrices M(p) and M'(p')^T.  Evaluation is a ring map, so a minor of M
-    takes at p the value of the same minor of M(p); and the fifteen maximal
-    minors of a 6x4 matrix over a field all vanish exactly when its rank is
-    at most 3.  So each point needs one rank (six echelon inserts), and
-    minor values are computed, to name the failing minors, only where the
-    rank is 4.
+    (iv) is decided exactly, and independently of (ii), from M's and M''s
+    own entries.  Row i of M(p) p'^T is the dot product of row i of M x^T,
+    as a relation row, with the pair's evaluation row, and likewise
+    M'(p')^T p^T with the columns of x M'.  When M(p) p'^T = 0, the nonzero
+    p' is in the kernel of M(p), whose rank is then at most 3, so all
+    fifteen maximal minors vanish at p (evaluation is a ring map: a minor
+    of M takes at p the value of the same minor of M(p)); the same holds
+    for M' at p'.  Only at a point whose product is nonzero is the rank of
+    the numeric matrix computed, and the minor values where it is 4, to
+    name the failing minors (``_nonzero_minors``).
     """
     al, be, ga = (QQi.coerce(v) for v in (alpha, beta, gamma))
     a_, b_, c_ = (QQi.coerce(v) for v in (a, b, c))
@@ -461,23 +481,28 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> dict:
         failures.append("points are not pairwise distinct")
 
     space = sklyanin_relations(al, be, ga)
+    forms = [_integral(rel) for rel in space.rows]
+    (m, m_rows), (mpt, mp_rows) = _matrix_rows(al, be, ga)
+    m_rows = [_integral(row) for row in m_rows]
+    mp_rows = [_integral(row) for row in mp_rows]
     forms_vanish = True
     ech = SparseEchelon(QQi)
+    nonzero = []
     for p, pp in graph:
-        row = {4 * k + l: p[k] * pp[l] for k in range(4) for l in range(4) if p[k] and pp[l]}
-        for name, rel in zip(space.row_names, space.rows):
-            if sum((v * row[idx] for idx, v in rel.items() if idx in row), QI_ZERO):
+        row = _evaluation_row(p, pp)
+        for name, rel in zip(space.row_names, forms):
+            if _nonzero_on(rel, row):
                 forms_vanish = False
                 failures.append(f"form {name} is nonzero at ({p!r}, {pp!r})")
         ech.insert(row)
+        nonzero.append((
+            _nonzero_minors(m, p) if any(_nonzero_on(r, row) for r in m_rows) else {},
+            _nonzero_minors(mpt, pp) if any(_nonzero_on(r, row) for r in mp_rows) else {},
+        ))
     kernel_dimension = 16 - ech.rank
     if kernel_dimension != 6:
         failures.append(f"evaluation kernel has dimension {kernel_dimension}, not 6")
 
-    ring = x_ring()
-    m = _linear_coefficients(matrix_m(al, be, ga, ring), ring)
-    mpt = _linear_coefficients(_transpose(matrix_m_prime(al, be, ga, ring)), ring)
-    nonzero = [(_nonzero_minors(m, p), _nonzero_minors(mpt, pp)) for p, pp in graph]
     for pair in MINOR_PAIRS:
         for (p, pp), (h, g) in zip(graph, nonzero):
             if pair in h:
@@ -494,6 +519,52 @@ def verify_gamma(alpha, beta, gamma, a, b, c) -> dict:
         "minors_vanish_at_projections": not any(h or g for h, g in nonzero),
         "failures": failures,
     }
+
+
+def _over_one_denominator(values):
+    """Gaussian rationals as Gaussian integers (x, y) over their lcm denominator d.
+
+    Returns ([(x, y), ...], d), with value k equal to (x_k + y_k*i)/d.
+    """
+    d = lcm(*(z.d for z in values))
+    return [(z.x * (d // z.d), z.y * (d // z.d)) for z in values], d
+
+
+def _integral(row):
+    """A relation row times the lcm of its denominators, as (x, y) int pairs.
+
+    A nonzero scale keeps which dot products vanish.
+    """
+    return dict(zip(row, _over_one_denominator(row.values())[0]))
+
+
+def _evaluation_row(p: ProjectivePoint, pp: ProjectivePoint) -> dict:
+    """The pair's evaluation row, coordinate 4k + l = p[k] pp[l], as (x, y, d) triples.
+
+    Each point's coordinates go over one denominator, so each value is a
+    product of two Gaussian integers over the same d, and none is settled.
+    """
+    (u, du), (w, dw) = _over_one_denominator(p), _over_one_denominator(pp)
+    d = du * dw
+    return {4 * k + l: (x * s - y * t, x * t + y * s, d)
+            for k, (x, y) in enumerate(u) if x or y
+            for l, (s, t) in enumerate(w) if s or t}
+
+
+def _nonzero_on(row, values) -> bool:
+    """Whether an integral row's dot product with an evaluation row is nonzero.
+
+    The evaluation row's values share one denominator, so the dot product
+    is zero exactly when its numerator, summed on ints, is.
+    """
+    re = im = 0
+    for idx, (a, b) in row.items():
+        t = values.get(idx)
+        if t is not None:
+            x, y, _ = t
+            re += a * x - b * y
+            im += a * y + b * x
+    return bool(re or im)
 
 
 def _nonzero_minors(coefficients, p: ProjectivePoint) -> dict:

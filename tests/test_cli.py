@@ -185,10 +185,15 @@ class TestOtherCommands:
         assert not report["failures"]
 
     def test_verify_gamma_refuses_bad_roots(self, capsys):
-        code, _, err = run_cli(
+        # a parameter outside the command's domain is a failed check: exit 1,
+        # the reason on stderr and no report
+        code, out, err = run_cli(
             capsys, "verify-gamma", "--alpha", "4", "--beta", "9",
             "--gamma", "25", "--abc", "2,3,4")
         assert code == 1
+        assert err.startswith("check failed: ")
+        assert "c^2 does not equal the parameter" in err
+        assert out == ""
 
     def test_points(self, capsys):
         code, out, _ = run_cli(capsys, "points", "--abc", "2,3,5",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,40 @@ def gamma_passes(report):
     return holds
 
 
+def random_gamma_fixtures():
+    """Four seeded (alpha, beta, gamma, a, b, c) with rational roots, off both
+    degenerate loci."""
+    rng = random.Random(19)
+    fixtures = []
+    while len(fixtures) < 4:
+        a = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        b = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        al, be, ga = a * a, b * b, c * c
+        if not al * be * ga or not al + be + ga + al * be * ga:
+            continue
+        fixtures.append((al, be, ga, a, b, c))
+    return fixtures
+
+
+#: the worked fixture, the Gaussian-root fixture and the seeded random ones
+GAMMA_FIXTURES = [(4, 9, 25, 2, 3, 5), (4, -9, 25, 2, gaussian(0, 3), 5),
+                  *random_gamma_fixtures()]
+
+
+def counted_nonzero_minors(monkeypatch):
+    """The points at which verify_gamma falls back to ``_nonzero_minors``, as it runs."""
+    calls = []
+    real = geometry._nonzero_minors
+
+    def counted(coefficients, p):
+        calls.append(p)
+        return real(coefficients, p)
+
+    monkeypatch.setattr(geometry, "_nonzero_minors", counted)
+    return calls
+
+
 class TestVerifyGamma:
     def test_worked_fixture(self):
         report = verify_gamma(4, 9, 25, 2, 3, 5)
@@ -269,18 +304,49 @@ class TestVerifyGamma:
         assert gamma_passes(report)
 
     def test_random_fixtures(self):
-        import random
-        rng = random.Random(19)
-        done = 0
-        while done < 4:
-            a = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            b = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            al, be, ga = a * a, b * b, c * c
-            if not al * be * ga or not al + be + ga + al * be * ga:
-                continue
-            assert gamma_passes(verify_gamma(al, be, ga, a, b, c))
-            done += 1
+        for fixture in random_gamma_fixtures():
+            assert gamma_passes(verify_gamma(*fixture))
+
+    @pytest.mark.parametrize("fixture", GAMMA_FIXTURES,
+                             ids=["worked", "gaussian-root", *(f"random-{k}" for k in range(4))])
+    def test_witness_agrees_with_the_rank(self, fixture, monkeypatch):
+        # the kernel witness settles every point, and the rank route, run
+        # directly, finds no nonzero minor at any of them either
+        al, be, ga, a, b, c = fixture
+        (m, _), (mpt, _) = geometry._matrix_rows(al, be, ga)
+        for p, pp in PointTable(a, b, c).graph():
+            assert geometry._nonzero_minors(m, p) == {}
+            assert geometry._nonzero_minors(mpt, pp) == {}
+        calls = counted_nonzero_minors(monkeypatch)
+        assert gamma_passes(verify_gamma(*fixture))
+        assert calls == []
+
+    @pytest.mark.parametrize("fixture, other", [(GAMMA_FIXTURES[0], 8),
+                                                (GAMMA_FIXTURES[0], 4),
+                                                (GAMMA_FIXTURES[1], 19)],
+                             ids=["worked", "worked-real", "gaussian-root"])
+    def test_rank_decides_where_the_witness_fails(self, fixture, other, monkeypatch):
+        # (p7, theta(p_other)) is no graph pair, so the forms and both witness
+        # products are nonzero there (with other = 4 they are real, at the
+        # Gaussian-root fixture purely imaginary); p7 and theta(p_other) still
+        # lie on the two projections, where the rank route finds every minor
+        # zero
+        class CrossedTable(geometry.PointTable):
+            def graph(self):
+                pairs = super().graph()
+                pairs[7] = (pairs[7][0], pairs[other][1])
+                return pairs
+
+        monkeypatch.setattr(geometry, "PointTable", CrossedTable)
+        calls = counted_nonzero_minors(monkeypatch)
+        report = verify_gamma(*fixture)
+        p, pp = CrossedTable(*fixture[3:]).graph()[7]
+        assert report["relation_forms_vanish_on_graph"] is False
+        assert any(f.startswith("form ") and f.endswith(f"({p!r}, {pp!r})")
+                   for f in report["failures"])
+        assert report["minors_vanish_at_projections"] is True
+        assert not any(f.startswith("minor ") for f in report["failures"])
+        assert calls == [p, pp]
 
     def test_minor_failures_at_a_pair_off_the_point_scheme(self, monkeypatch):
         # one graph pair is replaced by two points off both projections;
