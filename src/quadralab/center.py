@@ -8,7 +8,10 @@ Two independent verification routes are kept deliberately separate:
   re-expanded (``graded.ParametricSlices``);
 * the identity suite expands explicit free-algebra combinations of the
   relations with polynomial coefficients and checks that they reproduce
-  the commutators in question, with zero residual.
+  the commutators in question, with zero residual.  It is expanded over
+  Q(i)[params], not the function field: the squares suite has only
+  polynomial coefficients, and the central pair is stated times the
+  nonzero denominator of its eliminated parameter.
 
 Both hold for symbolic parameters, so the central elements of the two
 families are certified for all parameter values at once.
@@ -183,12 +186,13 @@ def chl_symbolic_central():
 def squares_identity_report():
     """The four identity families proving the squares central.
 
-    Over Q(i)(a1,a2,a3) and for every cyclic (i,j,k), the stated
-    combinations of {x_m, c_i} and [x_m, a_i] collapse to
-    (a1+a2+a3+a1*a2*a3) times a single commutator with a square.
+    For every cyclic (i,j,k), the stated combinations of {x_m, c_i} and
+    [x_m, a_i] collapse to (a1+a2+a3+a1*a2*a3) times a single commutator
+    with a square.  Every coefficient is a polynomial, so the suite is
+    expanded over Q(i)[a1,a2,a3] and holds over Q(i)(a1,a2,a3) with it.
     Returns {(family, i): residual-is-zero}.
     """
-    field = FunctionField(PolyRing(("a1", "a2", "a3")))
+    field = PolyRing(("a1", "a2", "a3"))
     a1, a2, a3 = field.gens()
     sigma_pi = a1 + a2 + a3 + a1 * a2 * a3
     x = generators(field)
@@ -242,43 +246,58 @@ def squares_identity_report():
     return report
 
 
-def central_pair_identity_report():
-    """The two identities behind the Sklyanin-type central pair.
+def central_pair_identities():
+    """{name: (lhs, rhs)} of the two identities behind the central pair.
 
-    Works over Q(i)(a1, a2) with a3 eliminated through the constraint
-    a1+a2+a3+a1*a2*a3 = 0, i.e. a3 = -(a1+a2)/(1+a1*a2); the guard
-    1+a1*a2 != 0 holds identically in the function field.
+    With a3 eliminated through a1+a2+a3+a1*a2*a3 = 0, a3 = -(a1+a2)/D for
+    D = 1+a1*a2.  Both identities are stated times D over Q(i)[a1,a2]: c3
+    enters only as D*c3 = D[x0,x3] + (a1+a2){x1,x2}, every coefficient of
+    "x0-com" and its right side carry the factor D, and the c3 bracket of
+    "x1-omega0" already carried it.  D is a nonzero scalar of
+    Q(i)(a1,a2), so D*(lhs - rhs) = 0 exactly when lhs = rhs there.
     """
     ring = PolyRing(("a1", "a2"))
-    field = FunctionField(ring)
-    a1, a2 = field.gens()
-    one = field.one()
-    a3 = -(a1 + a2) / (one + a1 * a2)
-    x = generators(field)
-    c, a = sklyanin_elements((a1, a2, a3), field)
+    a1, a2 = ring.gens()
+    one = ring.one()
+    d = one + a1 * a2
+    s = a1 + a2  # -D*a3
+    x = generators(ring)
+    c, a = sklyanin_elements((a1, a2, ring.zero()), ring)  # c[3] = [x0,x3] here
+    dc3 = c[3].scale(d) + anticommutator(x[1], x[2]).scale(s)
     sq = [g * g for g in x]
-    report = {}
 
-    lhs = (
-        anticommutator(x[1], c[1]).scale(one + a2 * a3)
-        + commutator(x[1], a[1]).scale(a2 * a3)
-        + anticommutator(x[2], c[2]).scale(one + a3)
-        + commutator(x[2], a[2]).scale(a3)
-        + anticommutator(x[3], c[3]).scale(one - a2)
-        - commutator(x[3], a[3]).scale(a2)
+    x0_com = (
+        anticommutator(x[1], c[1]).scale(d - a2 * s)
+        - commutator(x[1], a[1]).scale(a2 * s)
+        + anticommutator(x[2], c[2]).scale(d - s)
+        - commutator(x[2], a[2]).scale(s)
+        + anticommutator(x[3], dc3).scale(one - a2)
+        - commutator(x[3], a[3]).scale(a2 * d)
     )
-    rhs = commutator(x[0], sq[1] + sq[2] + sq[3])
-    report["x0-com"] = (lhs - rhs).is_zero()
-
-    lhs = (
+    x1_omega0 = (
         (anticommutator(x[0], c[1]) + commutator(x[0], a[1]).scale(a1)).scale(one + a2)
         + commutator(x[3], c[2]).scale(one - a1)
         + anticommutator(x[3], a[2]).scale(one + a1 + a1 * a2 * 2)
-        - (commutator(x[2], c[3]) + anticommutator(x[2], a[3])).scale(one + a1 * a2)
+        - (commutator(x[2], dc3) + anticommutator(x[2], a[3]).scale(d))
     )
-    rhs = commutator(x[1], -sq[0] + sq[1] + sq[2] + sq[3]).scale((one + a1) * (one + a2))
-    report["x1-omega0"] = (lhs - rhs).is_zero()
-    return report
+    return {
+        "x0-com": (x0_com, commutator(x[0], sq[1] + sq[2] + sq[3]).scale(d)),
+        "x1-omega0": (x1_omega0, commutator(x[1], -sq[0] + sq[1] + sq[2] + sq[3])
+                      .scale((one + a1) * (one + a2))),
+    }
+
+
+def central_pair_identity_report():
+    """The two identities behind the Sklyanin-type central pair.
+
+    Over Q(i)(a1,a2) with a3 = -(a1+a2)/(1+a1*a2), from the constraint
+    a1+a2+a3+a1*a2*a3 = 0.  Each is decided on its statement times
+    D = 1+a1*a2 over Q(i)[a1,a2] (``central_pair_identities``), which
+    vanishes exactly when the identity holds.  Returns {name:
+    residual-is-zero}.
+    """
+    return {name: (lhs - rhs).is_zero()
+            for name, (lhs, rhs) in central_pair_identities().items()}
 
 
 def chl_identity_report():

@@ -6,9 +6,10 @@ Elements are coefficient tuples of length n over the base, so a tower of
 adjunctions flattens to the expected product-length coordinate vector.
 
 Arithmetic reduces t^k for k >= n through the defining relation.  The
-quotient need not be a field: inversion runs an extended Euclidean
-algorithm against t^n - r and raises NotInvertible when it hits a zero
-divisor instead of returning garbage.  ``ExtensionElement`` supplies
+quotient need not be a field: a monomial c*t^k is inverted directly as
+c^-1 r^-1 t^(n-k), any other element by an extended Euclidean algorithm
+against t^n - r, and both raise NotInvertible at a zero divisor instead
+of returning garbage.  ``ExtensionElement`` supplies
 ``_lift``, ``+``, unary ``-``, ``*``, ``_one`` and that ``inverse``, and
 derives ``-``, ``/`` and ``**`` from ``scalars.FieldOps``; the base field's
 elements are inverted with their own ``inverse``.
@@ -152,11 +153,26 @@ class ExtensionElement(FieldOps):
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtensionElement":
-        """Extended Euclid against t^n - r over the base field."""
+        """The inverse, raising NotInvertible at a zero divisor.
+
+        A monomial c*t^k is inverted directly: c^-1 for k = 0, and
+        c^-1 r^-1 t^(n-k) otherwise, since t^n = r; c and r are inverted by
+        the base, so a zero-divisor c or r raises there.  Any other element
+        runs extended Euclid against t^n - r over the base field.
+        """
         if not self:
             raise NotInvertible(self, "zero element")
         base = self.field.base
         n = self.field.power
+        support = [k for k, c in enumerate(self.coeffs) if c]
+        if len(support) == 1:
+            k = support[0]
+            inv = self.coeffs[k].inverse()
+            if k == 0:
+                return self.field.element([inv])
+            coeffs = [base.zero()] * n
+            coeffs[n - k] = inv * self.field.radicand.inverse()
+            return ExtensionElement(self.field, tuple(coeffs))
         zero, one = base.zero(), base.one()
         # modulus t^n - r and the element as coefficient lists
         modulus = [-self.field.radicand] + [zero] * (n - 1) + [one]

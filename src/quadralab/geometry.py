@@ -346,7 +346,12 @@ class ProjectivePoint:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        """Hash of the normalized coordinates' (x, y, d) triples.
+
+        ``==`` compares the normalized coordinates, whose triples are in
+        normal form, so equal points hash equally; no Fraction is built.
+        """
+        return hash(tuple((c.x, c.y, c.d) for c in self.coords))
 
     def sign_flip(self, pattern) -> "ProjectivePoint":
         """Negate the coordinates listed in pattern."""
@@ -416,8 +421,8 @@ class PointTable:
             raise KeyError(f"{p!r} is not one of the twenty points") from None
 
     def all_distinct(self) -> bool:
-        pts = self.points()
-        return len(set(pts)) == len(pts)
+        # _stratum_of is keyed by point, so a repeated point shrinks it
+        return len(self._stratum_of) == 20
 
     def theta(self, p: ProjectivePoint) -> ProjectivePoint:
         """The bijection: identity on stratum inf, negate-first on stratum 0,

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from quadralab import poly
 from quadralab.center import (
+    central_pair_identities,
     central_pair_identity_report,
     chl_identity_report,
     chl_z1,
@@ -14,10 +16,46 @@ from quadralab.center import (
     uqsl2_generator_search,
 )
 from quadralab.errors import PreconditionViolated
-from quadralab.freealg import generators
+from quadralab.freealg import FreeElement, anticommutator, commutator, generators
 from quadralab.graded import GradedQuotient
-from quadralab.presentations import chl_z_relations, sklyanin_relations
+from quadralab.poly import FunctionField, PolyRing
+from quadralab.presentations import chl_z_relations, sklyanin_elements, sklyanin_relations
 from quadralab.scalars import QI_I, QQi, gaussian
+
+
+def lifted(field, element):
+    """element with each polynomial coefficient coerced into field."""
+    return FreeElement({w: field.coerce(v) for w, v in element.terms.items()})
+
+
+def function_field_central_pair():
+    """{name: (lhs, rhs)} of the central pair over Q(i)(a1,a2), a3 = -(a1+a2)/(1+a1*a2)."""
+    field = FunctionField(PolyRing(("a1", "a2")))
+    a1, a2 = field.gens()
+    one = field.one()
+    a3 = -(a1 + a2) / (one + a1 * a2)
+    x = generators(field)
+    c, a = sklyanin_elements((a1, a2, a3), field)
+    sq = [g * g for g in x]
+    x0_com = (
+        anticommutator(x[1], c[1]).scale(one + a2 * a3)
+        + commutator(x[1], a[1]).scale(a2 * a3)
+        + anticommutator(x[2], c[2]).scale(one + a3)
+        + commutator(x[2], a[2]).scale(a3)
+        + anticommutator(x[3], c[3]).scale(one - a2)
+        - commutator(x[3], a[3]).scale(a2)
+    )
+    x1_omega0 = (
+        (anticommutator(x[0], c[1]) + commutator(x[0], a[1]).scale(a1)).scale(one + a2)
+        + commutator(x[3], c[2]).scale(one - a1)
+        + anticommutator(x[3], a[2]).scale(one + a1 + a1 * a2 * 2)
+        - (commutator(x[2], c[3]) + anticommutator(x[2], a[3])).scale(one + a1 * a2)
+    )
+    return {
+        "x0-com": (x0_com, commutator(x[0], sq[1] + sq[2] + sq[3])),
+        "x1-omega0": (x1_omega0, commutator(x[1], -sq[0] + sq[1] + sq[2] + sq[3])
+                      .scale((one + a1) * (one + a2))),
+    }
 
 
 def chl_central(check, *abcd):
@@ -37,9 +75,6 @@ class TestIdentitySuites:
         # the third family's middle coefficient must be -(ai*ak+1) and its
         # last bracket enters positively; the nearby variants do not expand
         # to zero, so the suite is pinning a tight identity
-        from quadralab.freealg import anticommutator, commutator, generators
-        from quadralab.poly import FunctionField, PolyRing
-
         F = FunctionField(PolyRing(("a1", "a2", "a3")))
         a1, a2, a3 = F.gens()
         one = F.one()
@@ -73,6 +108,52 @@ class TestIdentitySuites:
     def test_central_pair_identities(self):
         report = central_pair_identity_report()
         assert report == {"x0-com": True, "x1-omega0": True}
+
+    def test_cleared_pair_is_the_function_field_pair_times_d(self):
+        # the oracle states both identities over Q(i)(a1,a2) with a3 itself;
+        # the cleared "x0-com" is D times it, "x1-omega0" equals it
+        oracle = function_field_central_pair()
+        assert {k: (lhs - rhs).is_zero() for k, (lhs, rhs) in oracle.items()} == {
+            "x0-com": True, "x1-omega0": True}
+        F = FunctionField(PolyRing(("a1", "a2")))
+        a1, a2 = F.gens()
+        d = F.one() + a1 * a2
+        for name, (lhs, rhs) in central_pair_identities().items():
+            factor = d if name == "x0-com" else F.one()
+            assert lifted(F, lhs) == oracle[name][0].scale(factor)
+            assert lifted(F, rhs) == oracle[name][1].scale(factor)
+
+    def test_cleared_pair_negative_controls(self):
+        identities = central_pair_identities()
+        ring = PolyRing(("a1", "a2"))
+        a1, a2 = ring.gens()
+        d = ring.one() + a1 * a2
+        x = generators(ring)
+        sq = [g * g for g in x]
+        lhs, _ = identities["x0-com"]
+        assert not (lhs - commutator(x[0], sq[1] + sq[2] + sq[3])).is_zero()
+        c, a = sklyanin_elements((a1, a2, ring.zero()), ring)
+        dc3 = c[3].scale(d) + anticommutator(x[1], x[2]).scale(a1 + a2)
+        last = commutator(x[2], dc3) + anticommutator(x[2], a[3]).scale(d)
+        lhs, rhs = identities["x1-omega0"]
+        assert (lhs - rhs).is_zero()
+        assert not (lhs + last.scale(2) - rhs).is_zero()
+
+    def test_suites_build_no_rational_function(self, monkeypatch):
+        # both suites are polynomial; a rational function here means one
+        # of them slid back to the function field
+        built = []
+        init = poly.RationalFunction.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(poly.RationalFunction, "__init__", counted)
+        assert all(squares_identity_report().values())
+        assert all(central_pair_identity_report().values())
+        assert not built
+        assert function_field_central_pair() and built
 
     def test_parameter_sum_identities(self):
         report = chl_identity_report()

@@ -9,6 +9,25 @@ from quadralab.poly import FunctionField, PolyRing
 from quadralab.scalars import QQi, gaussian
 
 
+def fourth_root_tower(base, r2, r3):
+    """base[q2; q2^4 = r2][q3; q3^4 = r3] with its roots, both read in the top level."""
+    k1 = ExtensionField(base, "q2", 4, r2)
+    k2 = ExtensionField(k1, "q3", 4, r3)
+    return k2, k2.coerce(k1.root()), k2.root()
+
+
+def function_field_tower():
+    """(base, r2, r3, scalars c) over Q(i)(a,b,c,d)."""
+    F = FunctionField(PolyRing(("a", "b", "c", "d")))
+    a, b, c, d = F.gens()
+    return F, (a + b) / (c * d), (c - d) / a, [a - b, (a + c) / (b * d)]
+
+
+def gaussian_tower():
+    """(base, r2, r3, scalars c) over Q(i)."""
+    return QQi, gaussian(2), gaussian(3, 1), [gaussian(1), gaussian(-3, 2) / 4]
+
+
 class TestDefiningRelation:
     def test_fourth_root_of_one(self):
         K = ExtensionField(QQi, "t", 4, 1)
@@ -68,6 +87,42 @@ class TestTower:
         q = K.root()
         assert q ** 4 == K.coerce(a / b)
         assert q.inverse() * q == K.one()
+
+    @pytest.mark.parametrize("fixture", [gaussian_tower, function_field_tower])
+    def test_monomial_inverses(self, fixture):
+        # (c q2^i q3^j)^-1 = c^-1 r2^-1 r3^-1 q2^(4-i) q3^(4-j), a radicand
+        # factor present only where its root is
+        base, r2, r3, scalars = fixture()
+        K, q2, q3 = fourth_root_tower(base, r2, r3)
+        one = base.one()
+        for c in scalars:
+            for i in range(4):
+                for j in range(4):
+                    x = K.coerce(c) * q2 ** i * q3 ** j
+                    s = one / c
+                    s = s / r2 if i else s
+                    s = s / r3 if j else s
+                    expected = K.coerce(s) * q2 ** ((4 - i) % 4) * q3 ** ((4 - j) % 4)
+                    assert x.inverse() == expected
+                    assert x * x.inverse() == K.one()
+
+    def test_root_over_a_zero_divisor_radicand(self):
+        # s^2 = 1 makes 1 + s a zero divisor, so t with t^2 = 1 + s is one too
+        S = ExtensionField(QQi, "s", 2, 1)
+        s = S.root()
+        T = ExtensionField(S, "t", 2, S.one() + s)
+        t = T.root()
+        assert (t * t * T.coerce(S.one() - s)).is_zero()
+        with pytest.raises(NotInvertible):
+            t.inverse()
+        with pytest.raises(NotInvertible):
+            (t * T.coerce(3)).inverse()
+
+    def test_non_monomial_inverse(self):
+        # (1 + q)(1 - q + q^2 - q^3) = 1 - q^4 = -1 when q^4 = 2
+        K = ExtensionField(QQi, "q", 4, 2)
+        q = K.root()
+        assert (K.one() + q).inverse() == K.element([-1, 1, -1, 1])
 
     def test_zero_radicand_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import transpose
 from poly_oracle import substitute
@@ -34,7 +36,12 @@ from quadralab.geometry import (
     x_ring,
 )
 from quadralab.poly import PolyRing, det4, ideal_slice_membership, verify_slice_certificate
-from quadralab.scalars import QI_I, gaussian
+from quadralab.scalars import QI_I, GaussianRational, gaussian
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_gaussians = st.builds(GaussianRational, _fractions, _fractions)
+_entries = st.one_of(st.integers(-40, 40), _fractions, _gaussians)
+_vectors = st.lists(_entries, min_size=4, max_size=4).filter(any)
 
 
 def cofactor_minors(rows):
@@ -192,6 +199,19 @@ class TestMaximalMinors:
     def test_rejects_a_matrix_of_the_wrong_shape(self):
         with pytest.raises(ValueError):
             maximal_minors(matrix_m(4, 9, 25, x_ring())[:5])
+
+
+class TestProjectivePoint:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(_vectors, _gaussians.filter(bool))
+    def test_scaled_vectors_are_one_point(self, v, c):
+        p, q = ProjectivePoint(v), ProjectivePoint([c * e for e in v])
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        # adding the first nonzero coordinate to the next one leaves the line
+        m = next(k for k, e in enumerate(v) if e)
+        w = list(v)
+        w[(m + 1) % 4] = w[(m + 1) % 4] + v[m]
+        assert ProjectivePoint(w) != q
 
 
 class TestPointTable:
