@@ -152,6 +152,12 @@ class MultiPoly(RingOps):
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        # a constant operand only scales the other one's coefficients
+        for f, g in ((o, self), (self, o)):
+            if len(g.terms) == 1:
+                (exp, c), = g.terms.items()
+                if not any(exp):
+                    return f.scale(c)
         # each exponent's coefficient is a (x, y, d) triple, summed over the
         # lcm of the denominators and settled once at the end.  A partial sum
         # that cancels is dropped at once, so the terms keep the order of a
@@ -185,6 +191,8 @@ class MultiPoly(RingOps):
         c = QQi.coerce(c)
         if not c:
             return self.ring.zero()
+        if c == QI_ONE:
+            return self
         return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()})
 
     # -- inspection --------------------------------------------------------
@@ -248,13 +256,9 @@ class MultiPoly(RingOps):
         for exp, c in self.terms.items():
             key = tuple(exp[k] for k in inner)
             rest = tuple(0 if k in inner_set else e for k, e in enumerate(exp))
-            bucket = buckets.setdefault(key, {})
-            s = bucket.get(rest, QI_ZERO) + c
-            if s:
-                bucket[rest] = s
-            else:
-                bucket.pop(rest, None)
-        return {k: MultiPoly(self.ring, v) for k, v in buckets.items() if v}
+            # (key, rest) determines exp, so no two terms share an entry
+            buckets.setdefault(key, {})[rest] = c
+        return {k: MultiPoly(self.ring, v) for k, v in buckets.items()}
 
     # -- division ------------------------------------------------------------
 

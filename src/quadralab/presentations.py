@@ -14,6 +14,7 @@ space inside the 16-dimensional degree-2 component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .errors import (
     DegenerateParameters,
@@ -428,16 +429,14 @@ def classify_chl(a, b, c, d) -> Classification:
 # ---------------------------------------------------------------------------
 
 
-def _solve_scalar(space: RelationSpace, base: FreeElement, weighted: FreeElement):
-    """The unique t with base - t*weighted in the row space."""
-    r_base = space.echelon.reduce(base.coefficient_vector(2))
-    r_w = space.echelon.reduce(weighted.coefficient_vector(2))
+def _solve_scalar(field, r_base: dict, r_w: dict):
+    """The unique t with base - t*weighted in the row space, from their residuals."""
     if not r_w:
         raise NoUniqueSolution(
             "underdetermined" if not r_base else "inconsistent: no scalar works"
         )
     if not r_base:
-        return space.field.zero()
+        return field.zero()
     col, wval = next(iter(r_w.items()))
     num = r_base.get(col)
     if num is None:
@@ -453,8 +452,12 @@ def _solve_scalar(space: RelationSpace, base: FreeElement, weighted: FreeElement
     return num / wval
 
 
-def angle_invariant(space: RelationSpace, perm) -> tuple:
-    """The triple (mu1*nu1, mu2*nu2, mu3*nu3) attached to a generator permutation.
+#: the six index pairs u < v, each followed by its complementary pair
+PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+
+
+def angle_invariant(space: RelationSpace) -> dict:
+    """{perm: (mu1*nu1, mu2*nu2, mu3*nu3)} for all 24 generator permutations.
 
     For the permutation (p,q,r,s) the six scalars are defined by requiring
 
@@ -462,21 +465,36 @@ def angle_invariant(space: RelationSpace, perm) -> tuple:
         [xp,xr] - mu2 {xs,xq},   nu2 {xp,xr} - [xs,xq],
         [xp,xs] - mu3 {xq,xr},   nu3 {xp,xs} - [xq,xr]
 
-    to lie in the relation row space.
+    to lie in the relation row space.  Every one of them is a signed
+    pair scalar: for u < v with complementary pair {w, t}, mu_uv is the
+    unique scalar with [xu,xv] - mu_uv {xw,xt} in the row space, and
+    m(u,v) = mu_uv, m(v,u) = -mu_uv, since [xv,xu] = -[xu,xv] and
+    {xw,xt} = {xt,xw}.  Then mu1 = m(p,q) and nu1 = m(r,s), so the triple
+    of (p,q,r,s) is
+
+        (m(p,q) m(r,s), m(p,r) m(s,q), m(p,s) m(q,r)).
+
+    The six commutators and six anticommutators are reduced once each
+    and the six mu_uv solved once; NoUniqueSolution is raised when one of
+    them is not unique, which leaves every permutation without a triple.
     """
-    p, q, r, s = perm
-    x = generators(space.field)
-    shapes = (
-        ((p, q), (r, s)),
-        ((p, r), (s, q)),
-        ((p, s), (q, r)),
-    )
-    out = []
-    for (u, v), (w, t) in shapes:
-        mu = _solve_scalar(space, commutator(x[u], x[v]), anticommutator(x[w], x[t]))
-        nu = _solve_scalar(space, commutator(x[w], x[t]), anticommutator(x[u], x[v]))
-        out.append(mu * nu)
-    return tuple(out)
+    field = space.field
+    one = field.one()
+    reduce = space.echelon.reduce
+    # 4u + v is the index of the word xu xv
+    com = {(u, v): reduce({4 * u + v: one, 4 * v + u: -one}) for u, v in PAIRS}
+    anti = {(u, v): reduce({4 * u + v: one, 4 * v + u: one}) for u, v in PAIRS}
+    # PAIRS[k ^ 1] is the complement of PAIRS[k]
+    mu = {uv: _solve_scalar(field, com[uv], anti[PAIRS[k ^ 1]])
+          for k, uv in enumerate(PAIRS)}
+
+    def m(u, v):
+        return mu[u, v] if u < v else -mu[v, u]
+
+    return {
+        (p, q, r, s): (m(p, q) * m(r, s), m(p, r) * m(s, q), m(p, s) * m(q, r))
+        for p, q, r, s in permutations(range(4))
+    }
 
 
 def invariant_table(alpha, beta, gamma):

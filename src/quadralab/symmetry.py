@@ -23,6 +23,8 @@ verified both numerically and with formal roots.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import DegenerateParameters, PreconditionViolated
 from .extension import ExtensionField
 from .freealg import FreeElement
@@ -100,11 +102,23 @@ class LinearAutomorphism:
             out = self.compose(out)
         return out
 
+    @cached_property
+    def cofactors(self):
+        """prod_{k != j} scales[k] for j = 0..3, formed on first use."""
+        s0, s1, s2, s3 = self.scales
+        s01, s23 = s0 * s1, s2 * s3
+        return (s1 * s23, s0 * s23, s01 * s3, s01 * s2)
+
     def on_point(self, p: ProjectivePoint) -> ProjectivePoint:
-        """Dual action, the inverse transpose: q[perm[j]] = p[j] / scales[j]."""
+        """Dual action, the inverse transpose: q[perm[j]] = p[j] / scales[j].
+
+        Each coordinate is taken times the product of all four scales,
+        q[perm[j]] = p[j] * cofactors[j], which is the same projective
+        point and needs no inverse; ``ProjectivePoint`` normalises it once.
+        """
         q = [None] * 4
-        for j, (r, s) in enumerate(zip(self.perm, self.scales)):
-            q[r] = p[j] / s
+        for j, (r, c) in enumerate(zip(self.perm, self.cofactors)):
+            q[r] = p[j] * c
         return ProjectivePoint(q)
 
     def is_scalar(self):

@@ -7,7 +7,8 @@ dense 4x4 forms, each random map read from its matrix by
 ``from_matrix``: ``compose`` against ``mat_mul``, ``inverse`` and
 ``power`` against the tracked-echelon inverse, ``__call__`` against
 ``apply_linear`` and, over Q(i) where the points live, ``on_point``
-against the inverse-transpose mat-vec.  ``orbits`` without inverse
+against the inverse-transpose mat-vec and, for Hypothesis-drawn Gaussian
+scales, against the divided coordinates p[j] / scales[j].  ``orbits`` without inverse
 generators and ``point_action_is_faithful`` from two permutations are
 checked against their brute-force forms, and no operation may reach the
 echelon kernel.
@@ -17,13 +18,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import dual_point, from_matrix, identity_matrix, mat_inverse, mat_mul
 from quadralab.errors import DegenerateParameters, PreconditionViolated
 from quadralab.freealg import FreeElement, apply_linear
 from quadralab.geometry import PointTable, ProjectivePoint
 from quadralab.linalg import SparseEchelon
-from quadralab.scalars import PrimeField, QQi, gaussian
+from quadralab.scalars import GaussianRational, PrimeField, QQi, gaussian
 from quadralab.symmetry import (
     ChlPsi,
     LinearAutomorphism,
@@ -120,6 +123,24 @@ def test_on_point_matches_the_inverse_transpose():
         f = _random_map(rng, QQi, _qi)
         p = ProjectivePoint([_qi(rng) for _ in range(3)] + [_nonzero(rng, _qi)])
         assert f.on_point(p) == dual_point(QQi, f.matrix, p)
+
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_gaussians = st.builds(GaussianRational, _fractions, _fractions)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(perm=st.permutations(range(4)),
+       scales=st.lists(_gaussians.filter(bool), min_size=4, max_size=4),
+       coords=st.lists(_gaussians, min_size=4, max_size=4).filter(any))
+def test_on_point_matches_the_divided_coordinates(perm, scales, coords):
+    # the dual action as first written: q[perm[j]] = p[j] / scales[j]
+    f = LinearAutomorphism(QQi, perm, scales)
+    p = ProjectivePoint(coords)
+    q = [None] * 4
+    for j, (r, s) in enumerate(zip(perm, scales)):
+        q[r] = p[j] / s
+    assert f.on_point(p) == ProjectivePoint(q)
 
 
 def test_is_scalar():

@@ -155,6 +155,36 @@ class TestIdentitySuites:
         assert not built
         assert function_field_central_pair() and built
 
+    def test_suites_make_no_full_product_of_two_constants(self, monkeypatch):
+        # a full MultiPoly product settles each coefficient with
+        # poly._reduced; a constant operand takes the scale path instead
+        settled = []
+        reduced = poly._reduced
+        monkeypatch.setattr(poly, "_reduced", lambda *t: settled.append(1) or reduced(*t))
+        mul = poly.MultiPoly.__mul__
+        pairs, full = [], []
+
+        def constant(f):
+            return not isinstance(f, poly.MultiPoly) or f.degree() == 0
+
+        def counted(self, other):
+            before = len(settled)
+            out = mul(self, other)
+            if constant(self) and constant(other):
+                pairs.append(1)
+                if len(settled) > before:
+                    full.append(1)
+            return out
+
+        monkeypatch.setattr(poly.MultiPoly, "__mul__", counted)
+        monkeypatch.setattr(poly.MultiPoly, "__rmul__", counted)
+        assert all(squares_identity_report().values())
+        assert all(central_pair_identity_report().values())
+        assert len(pairs) >= 600 and not full
+        # a product of two non-constant polynomials still settles its terms
+        a1, a2 = PolyRing(("a1", "a2")).gens()
+        assert a1 * a2 and settled
+
     def test_parameter_sum_identities(self):
         report = chl_identity_report()
         assert report == {"square-combination": True,

@@ -62,6 +62,18 @@ class TestMultiPoly:
         a, b, _, _ = ring.gens()
         assert (a * a + b).divide_exact(a) is None
 
+    def test_split_remultiplies_to_itself(self, ring):
+        a, b, c, d = ring.gens()
+        # a*c and a*d share the inner part a, a*c and b*c the outer part c
+        f = a * c + a * d + b * c + a * a * c * d.scale(gaussian(2, -1)) + b + d + 3
+        parts = f.split(("a", "b"))
+        assert set(parts) == {(1, 0), (0, 1), (2, 0), (0, 0)}
+        total = ring.zero()
+        for exp, part in parts.items():
+            total = total + ring.monomial(exp + (0, 0)) * part
+            assert all(not e[0] and not e[1] for e in part.terms)
+        assert total == f
+
     def test_substitute(self, ring):
         a, b, c, d = ring.gens()
         p = a * a - b

@@ -6,14 +6,16 @@ import pytest
 from quadralab.errors import (
     DegenerateParameters,
     DegeneratePresentation,
+    NoUniqueSolution,
     PreconditionViolated,
 )
-from quadralab.freealg import word_index
+from quadralab.freealg import FreeElement, word_index
 from quadralab.poly import FunctionField, PolyRing
 from quadralab.presentations import (
     CHLParams,
     EXCLUDED_L1,
     EXCLUDED_L2,
+    RelationSpace,
     angle_invariant,
     chl_relations,
     chl_to_sklyanin_params,
@@ -141,7 +143,7 @@ class TestPresentedTriple:
 
     def test_invariant_gives_the_presented_triple(self):
         corr = chl_to_sklyanin_params(1, 2, -4, 2)
-        inv = angle_invariant(chl_z_relations(1, 2, -4, 2), (0, 1, 2, 3))
+        inv = angle_invariant(chl_z_relations(1, 2, -4, 2))[0, 1, 2, 3]
         assert inv == corr.presented_triple
         assert inv != (corr.alpha, corr.beta, corr.gamma)
 
@@ -250,27 +252,57 @@ class TestClassificationSweep:
 
 class TestAngleInvariants:
     def test_full_table_numeric(self):
-        space = sklyanin_relations(2, 3, 5)
-        table = invariant_table(gaussian(2), gaussian(3), gaussian(5))
-        assert len(table) == 24
-        for perm, expected in table.items():
-            assert angle_invariant(space, perm) == expected
+        for params in ((2, 3, 5), (0, 3, 5), (1, 1, 1), (2, -3, "-1/5")):
+            table = angle_invariant(sklyanin_relations(*params))
+            assert len(table) == 24
+            assert table == invariant_table(*(QQi.coerce(v) for v in params))
 
     def test_symbolic_pair(self):
         F = symbolic_field()
         al, be, ga = F.gens()
-        space = sklyanin_relations(al, be, ga, field=F)
-        assert angle_invariant(space, (0, 1, 2, 3)) == (al, be, ga)
-        assert angle_invariant(space, (0, 1, 3, 2)) == (-al, -ga, -be)
+        table = angle_invariant(sklyanin_relations(al, be, ga, field=F))
+        assert table[0, 1, 2, 3] == (al, be, ga)
+        assert table[0, 1, 3, 2] == (-al, -ga, -be)
+        assert table == invariant_table(al, be, ga)
 
     def test_zero_parameter_gives_a_zero_invariant(self):
         # [x0,x1] is a relation at alpha = 0, so the unique mu1 is 0
-        assert angle_invariant(sklyanin_relations(0, 3, 5), (0, 1, 2, 3)) == (0, 3, 5)
+        assert angle_invariant(sklyanin_relations(0, 3, 5))[0, 1, 2, 3] == (0, 3, 5)
 
     def test_rotation_rule(self):
-        space = sklyanin_relations(2, 3, 5)
-        l1, l2, l3 = angle_invariant(space, (0, 1, 2, 3))
-        assert angle_invariant(space, (0, 2, 3, 1)) == (l2, l3, l1)
+        for space in (sklyanin_relations(2, 3, 5), chl_z_relations(1, 2, 3, 5)):
+            table = angle_invariant(space)
+            for (p, q, r, s), (l1, l2, l3) in table.items():
+                assert table[p, r, s, q] == (l2, l3, l1)
+
+    def test_span_holding_an_anticommutator_has_no_unique_scalar(self):
+        # {x2,x3} lies in the span, so [x0,x1] - mu {x2,x3} does for every
+        # mu or for none
+        one = QQi.one()
+        words = [((2, 3), (3, 2)), ((0, 0),), ((1, 1),), ((2, 2),), ((3, 3),), ((0, 1),)]
+        space = RelationSpace(QQi, [FreeElement({w: one for w in ws}) for ws in words])
+        with pytest.raises(NoUniqueSolution):
+            angle_invariant(space)
+
+    def test_one_call_reduces_each_bracket_once(self, monkeypatch, capsys):
+        from quadralab.cli import main
+        from quadralab.linalg import SparseEchelon
+        counts = {"reduce": 0, "product": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SparseEchelon, "_reduce", counted("reduce", SparseEchelon._reduce))
+        monkeypatch.setattr(FreeElement, "__mul__", counted("product", FreeElement.__mul__))
+        assert main(["iso-invariants", "--alpha=2", "--beta=3", "--gamma=5"]) == 0
+        capsys.readouterr()
+        # 6 inserts building the space and 12 bracket residuals; the 24
+        # products are the brackets of sklyanin_relations
+        assert counts["reduce"] <= 18
+        assert counts["product"] <= 24
 
 
 class TestIsomorphismSubstitutions:
