@@ -6,10 +6,9 @@ Elements are coefficient tuples of length n over the base, so a tower of
 adjunctions flattens to the expected product-length coordinate vector.
 
 Arithmetic reduces t^k for k >= n through the defining relation.  The
-quotient need not be a field: a monomial c*t^k is inverted directly as
-c^-1 r^-1 t^(n-k), any other element by an extended Euclidean algorithm
-against t^n - r, and both raise NotInvertible at a zero divisor instead
-of returning garbage.  ``ExtensionElement`` supplies
+quotient need not be a field, and only monomials c*t^k are inverted, as
+c^-1 r^-1 t^(n-k) (see ``inverse``); any other element is refused with
+PreconditionViolated.  ``ExtensionElement`` supplies
 ``_lift``, ``+``, unary ``-``, ``*``, ``_one`` and that ``inverse``, and
 derives ``-``, ``/`` and ``**`` from ``scalars.FieldOps``; the base field's
 elements are inverted with their own ``inverse``.
@@ -17,7 +16,7 @@ elements are inverted with their own ``inverse``.
 
 from __future__ import annotations
 
-from .errors import NotInvertible
+from .errors import NotInvertible, PreconditionViolated
 from .scalars import FieldOps
 
 
@@ -153,44 +152,29 @@ class ExtensionElement(FieldOps):
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtensionElement":
-        """The inverse, raising NotInvertible at a zero divisor.
+        """The inverse of a monomial c*t^k.
 
-        A monomial c*t^k is inverted directly: c^-1 for k = 0, and
-        c^-1 r^-1 t^(n-k) otherwise, since t^n = r; c and r are inverted by
-        the base, so a zero-divisor c or r raises there.  Any other element
-        runs extended Euclid against t^n - r over the base field.
+        It is c^-1 for k = 0 and c^-1 r^-1 t^(n-k) otherwise, since t^n = r;
+        c and r are inverted by the base's own ``inverse``, so nested towers
+        recurse.  Zero raises NotInvertible, and any element with two or
+        more terms raises PreconditionViolated: every tower element the
+        package inverts (psi's taus, the scaled-basis factors 1/s_i, the
+        pivots of relations whose columns each carry one tower monomial)
+        is a monomial by construction.
         """
         if not self:
             raise NotInvertible(self, "zero element")
-        base = self.field.base
-        n = self.field.power
         support = [k for k, c in enumerate(self.coeffs) if c]
-        if len(support) == 1:
-            k = support[0]
-            inv = self.coeffs[k].inverse()
-            if k == 0:
-                return self.field.element([inv])
-            coeffs = [base.zero()] * n
-            coeffs[n - k] = inv * self.field.radicand.inverse()
-            return ExtensionElement(self.field, tuple(coeffs))
-        zero, one = base.zero(), base.one()
-        # modulus t^n - r and the element as coefficient lists
-        modulus = [-self.field.radicand] + [zero] * (n - 1) + [one]
-        a = list(self.coeffs)
-        r0, r1 = modulus, _trim(a, zero)
-        s0, s1 = [zero], [one]
-        while _degree(r1) > 0:
-            q, rem = _poly_divmod(r0, r1, base)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, zero), zero)
-            if not r1:
-                raise NotInvertible(self, "zero divisor in the adjunction quotient")
-        if not r1:
-            raise NotInvertible(self, "zero divisor in the adjunction quotient")
-        # r1 is a nonzero constant: s1 / r1 is the inverse
-        inv_c = r1[0].inverse()
-        coeffs = [x * inv_c for x in s1]
-        return self.field.element(coeffs[:n])
+        if len(support) > 1:
+            raise PreconditionViolated("a root tower inverts monomials c*t^k only")
+        k = support[0]
+        inv = self.coeffs[k].inverse()
+        if k == 0:
+            return self.field.element([inv])
+        n = self.field.power
+        coeffs = [self.field.base.zero()] * n
+        coeffs[n - k] = inv * self.field.radicand.inverse()
+        return ExtensionElement(self.field, tuple(coeffs))
 
     def constant_part(self):
         """Base-field coefficient of t^0."""
@@ -216,52 +200,3 @@ class ExtensionElement(FieldOps):
     def __repr__(self):
         return f"ExtensionElement<{self.field.symbol}>({self})"
 
-
-def _trim(coeffs, zero):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _degree(coeffs):
-    return len(coeffs) - 1
-
-
-def _poly_sub(a, b, zero):
-    n = max(len(a), len(b))
-    a = a + [zero] * (n - len(a))
-    b = b + [zero] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)], zero)
-
-
-def _poly_mul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if not y:
-                continue
-            out[i + j] = out[i + j] + x * y
-    return _trim(out, zero)
-
-
-def _poly_divmod(a, b, base):
-    zero = base.zero()
-    a = _trim(list(a), zero)
-    b = _trim(list(b), zero)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = b[-1].inverse()
-    q = [zero] * max(0, len(a) - len(b) + 1)
-    r = a
-    while r and len(r) >= len(b):
-        factor = r[-1] * inv_lead
-        shift = len(r) - len(b)
-        q[shift] = q[shift] + factor
-        sub = [zero] * shift + [factor * c for c in b]
-        r = _poly_sub(r, sub, zero)
-    return q, r

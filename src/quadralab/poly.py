@@ -106,7 +106,7 @@ class MultiPoly(RingOps):
 
     def _lift(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 return None
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -344,11 +344,11 @@ class RationalFunction(FieldOps):
 
     def _lift(self, other):
         if isinstance(other, RationalFunction):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 return None
             return other
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 return None
             return RationalFunction(other, reduce=False)
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -469,7 +469,7 @@ class FunctionField:
 
     def coerce(self, value) -> RationalFunction:
         if isinstance(value, RationalFunction):
-            if value.ring != self.ring:
+            if value.ring is not self.ring and value.ring != self.ring:
                 raise TypeError("rational function from a foreign ring")
             return value
         if isinstance(value, MultiPoly):

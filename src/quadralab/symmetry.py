@@ -368,6 +368,11 @@ def chl_rho_values(params: CHLParams):
         raise PreconditionViolated("denominator of rho2 vanishes")
     if not (b * c):
         raise PreconditionViolated("denominator of rho3 vanishes")
+    # a root tower needs a nonzero radicand
+    if not num2:
+        raise PreconditionViolated("rho2 vanishes")
+    if not (d * a):
+        raise PreconditionViolated("rho3 vanishes")
     return num2 / den2, -(d * a) / (b * c)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import quadralab
 from quadralab.cli import EXIT_BROKEN_PIPE, main
+from quadralab.poly import PolyRing
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +155,15 @@ class TestChl:
         payload = json.loads(out)
         assert payload["Z1_central"] and payload["Z2_central"]
 
+    @pytest.mark.parametrize("abcd, rho", [("1,1,3,1", "rho2"), ("1,2,5,0", "rho3")])
+    def test_center_where_psi_radicand_vanishes(self, capsys, abcd, rho):
+        code, out, err = run_cli(capsys, "chl", "center", "--abcd", abcd, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["Z1_central"] is True and payload["Z2_central"] is None
+        assert payload["Z2_note"] == f"precondition violated: {rho} vanishes"
+        assert "Z2_z_basis" not in payload
+
     def test_bad_tuple_is_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "chl", "params", "--abcd", "1,2")
         assert code == 2 and "abcd" in err
@@ -232,6 +242,16 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out)
         assert all(payload["squares_suite"].values())
+
+    def test_identities_compare_no_rings_by_value(self, capsys, monkeypatch):
+        # operands of one ring share the ring object, so _lift and coerce
+        # settle on identity and never reach PolyRing.__eq__
+        calls = []
+        equal = PolyRing.__eq__
+        monkeypatch.setattr(PolyRing, "__eq__",
+                            lambda self, other: calls.append(1) or equal(self, other))
+        code, _, _ = run_cli(capsys, "identities")
+        assert code == 0 and len(calls) == 0
 
     def test_iso_invariants(self, capsys):
         code, out, _ = run_cli(capsys, "iso-invariants", "--alpha", "2",

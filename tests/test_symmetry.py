@@ -226,6 +226,15 @@ class TestChlPsi:
         with pytest.raises(PreconditionViolated):
             ChlPsi(1, 0, 1, 0)  # bc = 0 kills the second ratio
 
+    @pytest.mark.parametrize("abcd, rho", [
+        ((1, 1, 3, 1), "rho2"),  # a + b - c + d = 0
+        ((0, 1, 1, 0), "rho2"),  # -(p - s)(q + r) = 0 and ad = 0: rho2 first
+        ((1, 2, 5, 0), "rho3"),  # ad = 0 with rho2 = 1/6
+    ])
+    def test_vanishing_radicand_reported(self, abcd, rho):
+        with pytest.raises(PreconditionViolated, match=f"^precondition violated: {rho} vanishes$"):
+            ChlPsi(*abcd)
+
     def test_order_four_on_the_nose(self):
         psi = ChlPsi(1, 2, -4, 2)
         assert psi.map.power(4).is_scalar() == psi.field.one()
