@@ -29,11 +29,16 @@ when something asks for them (degree n + 1, a class or a normal form in
 degree n): the echelon is then back-substituted once, and mu_a read off
 the reduced pivot rows (a pivot column's class in A_n is minus the rest
 of its row).  So a Hilbert prefix never back-substitutes its top degree.
-Over F_p the tower holds residues as the kernel does, as plain ints in
-[0, p) (Python integers, so nothing overflows): the relations are
+The tower holds its values as the kernel does.  Over F_p they are plain
+ints in [0, p) (Python integers, so nothing overflows): the relations are
 coerced once, and the rows built from them reach the kernel unreduced:
 it takes each value mod p, and drops it if it is zero, once, when its
-column comes up in the elimination.
+column comes up in the elimination.  Over Q(i) they are reduced
+(x, y, d) int triples: the relations are converted once (``unsettled``),
+the image rows are summed from mu's triples by ``linalg.add_multiple_qi``
+and reach the kernel unreduced, and mu is read off the kernel's rows
+(``pivot_residual``) as triples, so building the tower makes no
+``GaussianRational`` product or sum.
 Pivots are lex-first and the lex order is multiplicative within a degree,
 so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
@@ -42,16 +47,16 @@ for the exact ones and are labeled as evidence, not proof.
 An element's class in A_n composes the mu maps: the words ending in x_b
 form an element of degree n - 1 times x_b, whose class in A_{n-1} fills
 the columns of A_{n-1} (x) V that degree n's mu projects to A_n; membership,
-normal forms and centrality read that class.  The read side keeps its values
-unsettled, as the kernel does: over Q(i) (x, y, d) int triples summed by
-``linalg.add_multiple_qi``, over F_p unreduced ints.  Each coordinate of a
-class is settled once, with one gcd or one ``% p`` (``linalg.settled``), and
-an image goes to the kernel unsettled, which settles each column as it pops
-it; so at A(2,-3,-1/5) a 30-word degree-5 normal form makes no
-``GaussianRational`` product or sum.  Certificates use
-(R)_n = (R)_{n-1} V + N_{n-2} R, N the span of the normal words: the
-degree-n rows account for f's image in A_{n-1} (x) V, and what is left is
-certified one degree down, letter by letter.
+normal forms and centrality read that class.  The read side, like the
+write side, keeps its values unsettled, as the kernel does: over Q(i)
+(x, y, d) int triples summed by ``linalg.add_multiple_qi``, over F_p
+unreduced ints.  Each coordinate of a class is settled once, with one gcd
+or one ``% p`` (``linalg.settled``), and an image goes to the kernel
+unsettled, which settles each column as it pops it; so at A(2,-3,-1/5) a
+30-word degree-5 normal form makes no ``GaussianRational`` product or
+sum.  Certificates use (R)_n = (R)_{n-1} V + N_{n-2} R, N the span of the
+normal words: the degree-n rows account for f's image in A_{n-1} (x) V,
+and what is left is certified one degree down, letter by letter.
 
 Over a function field F = Q(i)(params) the recursion is too slow to build
 (its degree-3 elimination over Q(i)(a,b,c,d) ran for minutes), so ``tower``
@@ -122,24 +127,28 @@ class QuotientTower:
     stays unreduced until ``mu(n)`` is first asked for.  It is then
     back-substituted once, so e_i * x_j on a pivot column is read off its
     reduced row, with no reduction per column.  At most the top degree is
-    left unfinished.
+    left unfinished.  ``rows`` and mu hold their values as the kernel does,
+    reduced triples over Q(i) and residues over F_p; ``linalg.settled``
+    gives their canonical form.
     """
 
     def __init__(self, field, rows):
         self.field = field
+        if isinstance(field, PrimeField):
+            self._add = add_multiple
+            self.one = field.one()
+        elif isinstance(field, RationalField):
+            self._add = add_multiple_qi
+            self.one = (1, 0, 1)
+            rows = [unsettled(field, row) for row in rows]
+        else:
+            raise PreconditionViolated("the quotient tower is built over Q(i) or F_p only")
         self.rows = rows          # the relations: column a*4+b -> coefficient of x_a x_b
-        self.one = field.one()
         self.words = [[0], list(range(NGENS))]
         self._mu = [None, [[{j: self.one}] for j in range(NGENS)]]
         self._open = None         # the top degree's echelon while its mu is unread
         self._reduced = None      # x_a x_b - NF(x_a x_b), kept when degree 2 is finished
         self._tracked = {}        # degree -> the degree's rows, certificate-tracked
-        if isinstance(field, PrimeField):
-            self._add = add_multiple
-        elif isinstance(field, RationalField):
-            self._add = add_multiple_qi
-        else:
-            raise PreconditionViolated("the quotient tower is built over Q(i) or F_p only")
 
     def dimension(self, n: int) -> int:
         while len(self.words) <= n:
@@ -158,18 +167,31 @@ class QuotientTower:
 
         e_i runs over the basis of A_{n-2} and r over relations, each a row
         over the columns a * 4 + b of the quadratic words; column = basis
-        index * 4 + letter.  A term whose coefficient is the field's one
-        adds mu's entries as they are.  A row may keep an entry that
-        cancelled to zero; the echelon drops it.
+        index * 4 + letter.  Over Q(i) each term adds its coefficient
+        times mu's triples, shifted to its letter's columns, with the
+        kernel's ``add_multiple_qi``.  A term whose coefficient is the
+        field's one adds mu's entries as they are (over Q(i) only when it
+        comes first, as each reduced relation's x_a x_b does), so the row
+        shares them: building each product anew took 1 MB more at degree 9
+        of A(2,-3,-1/5).  A row may keep an entry that cancelled to zero;
+        the echelon drops it.
         """
         below = self.mu(n - 1)
         one = self.one
         rels = [[(*divmod(c, NGENS), None if v == one else v) for c, v in rel.items()]
                 for rel in relations]
+        qi = self._add is add_multiple_qi
         for i in range(len(self.words[n - 2])):
             for r, rel in enumerate(rels):
                 row = {}
                 for a, b, v in rel:
+                    if qi:
+                        shifted = {k * NGENS + b: w for k, w in below[a][i].items()}
+                        if v is None and not row:
+                            row = shifted
+                        else:
+                            add_multiple_qi(row, None, v or one, shifted)
+                        continue
                     for k, w in below[a][i].items():
                         if v is not None:
                             w = v * w

@@ -14,19 +14,25 @@ to right and never reintroduces a pivot column.  Pivot choice is therefore
 "lex-first", which makes normal forms canonical.
 
 Reduction is lazy: a row update (``add_multiple``) neither tests for zero
-nor, over F_p, takes a remainder.  Over Q(i) the values under elimination
-are (x, y, d) int triples, not ``GaussianRational``s (``add_multiple_qi``):
-a product is not reduced, and a sum is taken over the lcm of the two
-denominators and divided by its gcd only when that lcm is larger than both.
-A column's value is settled when the column is popped (over F_p taken mod p,
-over Q(i) divided by one gcd into a ``GaussianRational`` in normal form;
-dropped if it is zero), and every column of the vector is popped exactly
-once, so what the kernel returns is canonical.  A Q(i) vector may come in
-as triples already.
+nor, over F_p, takes a remainder.  Over Q(i) the kernel holds no
+``GaussianRational``: its rows, its tracked combos and the values under
+elimination are (x, y, d) int triples, (x + y*i)/d with d > 0
+(``add_multiple_qi``).  A stored triple is reduced, gcd(x, y, d) = 1, and
+a pivot is exactly (1, 0, 1); under elimination a product is not reduced,
+and a sum is taken over the lcm of the two denominators and divided by its
+gcd only when that lcm is larger than both.  A column's value is settled
+when the column is popped (over F_p taken mod p, over Q(i) divided by one
+gcd; dropped if it is zero), and every column of the vector is popped
+exactly once, so what the kernel stores is canonical.  The pivot inverse
+and the row scaling in ``insert`` are taken on triples too.  Values leave
+the kernel as ``GaussianRational``s only at ``reduce`` and
+``reduce_with_combo``, which convert their results once, and at
+``settled``; ``pivot_residual`` hands out triples.  A Q(i) vector may come
+in as triples already.
 
-The quotient tower reads classes with the same two helpers and the same
+The quotient tower builds and reads with the same two helpers and the same
 forms: ``unsettled`` brings a vector to them, and ``settled`` settles each
-value once, into the kernel's canonical form.
+value once, into a ``GaussianRational`` in normal form or a residue.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
 quotient tower and Macaulay slices all use it.
@@ -41,7 +47,8 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
-from .scalars import GaussianRational, PrimeField, RationalField, _reduced
+from .errors import NotInvertible
+from .scalars import GaussianRational, PrimeField, RationalField, _qi, _reduced
 
 
 def unsettled(field, vec):
@@ -68,8 +75,30 @@ def settled(field, vec):
     return {k: _reduced(x, y, d) for k, (x, y, d) in vec.items() if x or y}
 
 
+def _triple(x, y, d):
+    """(x + y*i)/d, d > 0, as its reduced triple: divided through by gcd(x, y, d)."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            return x // g, y // g, d // g
+    return x, y, d
+
+
+def _inverse(x, y, d):
+    """1 / ((x + y*i)/d) for a reduced triple: (d*x, -d*y, x^2 + y^2), reduced.
+
+    A real x is prime to d, so d/x needs only its sign fixed; zero raises
+    ``NotInvertible``.
+    """
+    if not y:
+        if not x:
+            raise NotInvertible((x, y, d), "zero in Q(i)")
+        return (d, 0, x) if x > 0 else (-d, 0, -x)
+    return _triple(d * x, -d * y, x * x + y * y)
+
+
 def residues(field, vec):
-    """vec as ``SparseEchelon`` holds it over field.
+    """vec as ``SparseEchelon`` holds it over field, if that is F_p.
 
     Over F_p each value goes through ``field.coerce`` and the zeros are
     dropped, leaving nonzero ints in [0, p).  Over any other field vec is
@@ -87,7 +116,8 @@ class SparseEchelon:
     ``insert`` reduces an incoming row and either absorbs it (returns the
     new pivot column) or reports linear dependence (returns None).  With
     ``track=True`` every stored row remembers its expression in terms of
-    the inserted source rows, which yields membership certificates.
+    the inserted source rows, which yields membership certificates.  Over
+    Q(i) rows and combos hold reduced (x, y, d) triples.
     """
 
     def __init__(self, field, track=False):
@@ -95,6 +125,7 @@ class SparseEchelon:
         self.track = track
         self.p = field.p if isinstance(field, PrimeField) else None
         self.qi = isinstance(field, RationalField)
+        self.minus_one = (-1, 0, 1) if self.qi else -field.one()
         self.rows = []        # list[dict[int, scalar]], leading col normalized to 1
         self.pivot_of = {}    # column -> row index
         self.combos = []      # parallel to rows when track=True
@@ -112,7 +143,7 @@ class SparseEchelon:
         A row's columns lie right of its pivot, so a popped column never
         comes back: each column enters the heap once, when it enters vec,
         and its value is settled when it leaves the heap.  combo values
-        are left unreduced, except over Q(i) (``_reduce_qi``).
+        are left unreduced, for ``_scaled`` to settle.
         """
         if self.qi:
             return self._reduce_qi(vec, combo)
@@ -143,10 +174,10 @@ class SparseEchelon:
         coerces.  While a column is in the heap its value is a triple
         (x + y*i)/d with d > 0, not necessarily reduced (``add_multiple_qi``
         says when an update reduces it).  When the column is popped its
-        triple is settled with one gcd into a ``GaussianRational`` (or
-        dropped if it is zero), so the pivot coefficient is in normal form
-        before it is used.  combo accumulates triples the same way and is
-        settled once, at the end.
+        triple is reduced with one gcd (or dropped if it is zero), so the
+        pivot coefficient is reduced before it is used and the residual
+        holds reduced triples.  combo accumulates triples the same way and
+        is left unreduced, for its reader to settle.
         """
         rows, pivot_of, combos = self.rows, self.pivot_of, self.combos
         coerce = self.field.coerce
@@ -163,24 +194,27 @@ class SparseEchelon:
             if not (x or y):
                 del vec[col]
                 continue
-            coeff = _reduced(x, y, d)
+            if d != 1:
+                g = gcd(x, y, d)
+                if g != 1:
+                    x, y, d = x // g, y // g, d // g
             ridx = pivot_of.get(col)
             if ridx is None:
-                vec[col] = coeff
+                vec[col] = (x, y, d)
                 continue
             del vec[col]
-            neg = (-coeff.x, -coeff.y, coeff.d)
-            add_multiple_qi(vec, heap, neg, rows[ridx], col)
+            add_multiple_qi(vec, heap, (-x, -y, d), rows[ridx], col)
             if combo is not None:
-                add_multiple_qi(combo, None, neg, combos[ridx])
-        if combo:
-            for k, t in combo.items():
-                combo[k] = _reduced(*t)
+                add_multiple_qi(combo, None, (-x, -y, d), combos[ridx])
         return vec
+
+    def _public(self, vec):
+        """A reduced vec as ``reduce`` returns it: over Q(i) as ``GaussianRational``s."""
+        return {k: _qi(*t) for k, t in vec.items()} if self.qi else vec
 
     def reduce(self, vec):
         """Residual of vec modulo the row space (vec is not modified)."""
-        return self._reduce(dict(vec))
+        return self._public(self._reduce(dict(vec)))
 
     def reduce_with_combo(self, vec):
         """(residual, combo) with vec = residual + sum(combo[k] * source_k)."""
@@ -188,10 +222,10 @@ class SparseEchelon:
             raise ValueError("echelon was built without certificate tracking")
         combo = {}
         residual = self._reduce(dict(vec), combo)
-        return residual, _negated(combo, self.p)
+        return self._public(residual), self._public(_scaled(combo, self.minus_one, self.p))
 
     def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(dict(vec))
 
     def insert(self, vec, tag=None):
         """Reduce and store vec if independent; returns pivot column or None.
@@ -203,10 +237,10 @@ class SparseEchelon:
         if not work:
             return None
         col = min(work)
-        p = self.p
-        inv = pow(work[col], -1, p) if p else work[col].inverse()
+        p, pivot = self.p, work[col]
+        inv = pow(pivot, -1, p) if p else _inverse(*pivot) if self.qi else pivot.inverse()
         if self.track:
-            combo[tag] = self.field.one()
+            combo[tag] = (1, 0, 1) if self.qi else self.field.one()
             self.combos.append(_scaled(combo, inv, p))
         self.rows.append(_scaled(work, inv, p))
         self.pivot_of[col] = len(self.rows) - 1
@@ -233,11 +267,11 @@ class SparseEchelon:
     def pivot_residual(self, col):
         """The residual of the unit vector at pivot column col, once back-substituted.
 
-        That is minus the rest of col's row, read off without a reduction.
+        That is minus the rest of col's row, read off without a reduction;
+        over Q(i) as reduced triples.
         """
-        rest = dict(self.rows[self.pivot_of[col]])
-        del rest[col]
-        return _negated(rest, self.p)
+        row = self.rows[self.pivot_of[col]]
+        return _scaled({k: v for k, v in row.items() if k != col}, self.minus_one, self.p)
 
 
 #: a skip for ``add_multiple`` that no column or tag equals
@@ -266,8 +300,8 @@ def add_multiple(acc, heap, coeff, row, skip=_NO_KEY):
 def add_multiple_qi(acc, heap, coeff, row, skip=_NO_KEY):
     """``add_multiple`` over Q(i), on (x, y, d) int triples.
 
-    coeff and the values of acc are triples (x + y*i)/d with d > 0, not
-    necessarily reduced; row holds ``GaussianRational``s.  A product is not
+    coeff, row's values and acc's values are triples (x + y*i)/d with
+    d > 0, not necessarily reduced.  A product is not
     reduced, and each sum is taken over the lcm of the two denominators.
     Only when that lcm is larger than both is the sum divided by its gcd,
     which keeps the denominators near their reduced size: left to grow,
@@ -276,10 +310,9 @@ def add_multiple_qi(acc, heap, coeff, row, skip=_NO_KEY):
     gcds they replace.
     """
     x, y, d = coeff
-    for c, v in row.items():
+    for c, (a, b, e) in row.items():
         if c == skip:
             continue
-        a, b, e = v.x, v.y, v.d
         px, py, pd = x * a - y * b, x * b + y * a, d * e
         s = acc.get(c)
         if s is None:
@@ -302,15 +335,15 @@ def add_multiple_qi(acc, heap, coeff, row, skip=_NO_KEY):
 
 
 def _scaled(vec, c, p):
-    """c * vec without its zeros; over F_p (p not None) as residues."""
+    """c * vec without its zeros.
+
+    Over F_p (p not None) as residues; over Q(i) (c a triple) as reduced
+    triples.
+    """
     if p:
         return {k: r for k, v in vec.items() if (r := v * c % p)}
+    if type(c) is tuple:
+        x, y, d = c
+        return {k: _triple(x * a - y * b, x * b + y * a, d * e)
+                for k, (a, b, e) in vec.items() if a or b}
     return {k: v * c for k, v in vec.items() if v}
-
-
-def _negated(vec, p):
-    """-vec without its zeros; over F_p (p not None) as residues."""
-    if p:
-        return {k: r for k, v in vec.items() if (r := -v % p)}
-    return {k: -v for k, v in vec.items() if v}
-

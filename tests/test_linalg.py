@@ -7,9 +7,13 @@ The properties pin ``back_substitute``: it keeps the row space, pivots and
 residuals, leaves each pivot row with free columns only besides its pivot,
 and leaves the echelon usable for further inserts.  Over F_p every value
 the kernel stores or returns is an int in [0, p), whatever int
-representatives it is given, and tracked combos re-expand to the input;
-over Q(i) every such value is a nonzero ``GaussianRational`` in normal
-form, whatever mix of non-real values, ints and Fractions it is given.
+representatives it is given, and tracked combos re-expand to the input.
+Over Q(i), whatever mix of non-real values, ints and Fractions it is
+given, every value the kernel stores (rows, combos, ``pivot_residual``) is
+a nonzero reduced (x, y, d) int triple, d > 0 and gcd(x, y, d) = 1, with
+each pivot exactly (1, 0, 1), and every value ``reduce`` and
+``reduce_with_combo`` return is a nonzero ``GaussianRational`` in normal
+form.  The kernel's triple inverse is ``GaussianRational.inverse``.
 The dense oracle ``mat_inverse`` (``tests/dense_oracle.py``), built on the
 tracked kernel, returns int residues over F_p whatever int representatives
 it is given; ``det4(a) % p`` is its singularity oracle.
@@ -24,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import identity_matrix, mat_inverse, mat_mul
-from quadralab.linalg import SparseEchelon
+from quadralab.errors import NotInvertible
+from quadralab.linalg import SparseEchelon, _inverse, settled
 from quadralab.poly import det4
 from quadralab.scalars import QI_I, GaussianRational, PrimeField, QQi
 
@@ -39,6 +44,18 @@ FIELDS = {
     "qi": (QQi, st.builds(lambda x, y, d: GaussianRational(Fraction(x, d), Fraction(y, d)),
                           _small, _small, st.integers(1, 3)), lambda v: v),
     "f65537": (F65537, st.integers(0, P - 1), lambda v: v % P),
+}
+
+
+def _reduced_triple(t):
+    return (type(t) is tuple and len(t) == 3 and all(type(v) is int for v in t)
+            and (t[0] or t[1]) and t[2] > 0 and gcd(*t) == 1)
+
+
+# (a pivot's stored value, the stored form of a nonzero value, its negation)
+STORED = {
+    "qi": ((1, 0, 1), _reduced_triple, lambda t: (-t[0], -t[1], t[2])),
+    "f65537": (1, lambda v: type(v) is int and 0 < v < P, lambda v: -v % P),
 }
 
 
@@ -100,16 +117,19 @@ def test_back_substitution_keeps_the_row_space(kind, data):
 @given(data=st.data())
 def test_back_substituted_rows_are_reduced(kind, data):
     field, scalars, canon = FIELDS[kind]
+    one, stored, negated = STORED[kind]
     ech = _echelon(field, _draw_rows(data, scalars, canon))
     ech.back_substitute()
     for col, ridx in ech.pivot_of.items():
         row = ech.rows[ridx]
-        assert min(row) == col and row[col] == field.one()
-        assert all(row.values())
+        assert min(row) == col and row[col] == one
+        assert all(map(stored, row.values()))
         assert not (set(row) - {col}) & set(ech.pivot_of)
-        # the residual of a pivot column is minus the rest of its row (mod p over F_p)
-        minus_rest = {c: canon(-v) for c, v in row.items() if c != col}
-        assert ech.reduce({col: field.one()}) == minus_rest == ech.pivot_residual(col)
+        # the residual of a pivot column is minus the rest of its row (mod p
+        # over F_p), held as the rows are and returned settled by reduce
+        minus_rest = {c: negated(v) for c, v in row.items() if c != col}
+        assert ech.pivot_residual(col) == minus_rest
+        assert ech.reduce({col: field.one()}) == settled(field, minus_rest)
 
 
 @pytest.mark.parametrize("kind", FIELDS)
@@ -138,7 +158,7 @@ def test_back_substitution_refuses_a_tracked_echelon():
     ech.insert({1: QQi.one()}, tag=1)
     with pytest.raises(ValueError):
         ech.back_substitute()
-    assert ech.rows[0] == {0: QQi.one(), 1: QQi.one()}
+    assert ech.rows[0] == {0: (1, 0, 1), 1: (1, 0, 1)}
 
 
 def _canonical_residues(vec):
@@ -189,6 +209,10 @@ def _normal_form(vec):
                for v in vec.values())
 
 
+def _reduced_triples(vec):
+    return all(map(_reduced_triple, vec.values()))
+
+
 def _expand_qi(combo, sources):
     """sum combo[k] * sources[k] over Q(i), without its zeros."""
     out = {}
@@ -216,8 +240,9 @@ def test_gaussian_values_are_in_normal_form(data):
     for k, row in enumerate(sources):
         ech.insert(row, tag=k)
     for row, combo in zip(ech.rows, ech.combos):
-        assert _normal_form(row) and _normal_form(combo)
-        assert _expand_qi(combo, sources) == row
+        assert _reduced_triples(row) and _reduced_triples(combo)
+        assert min(row) in ech.pivot_of and row[min(row)] == (1, 0, 1)
+        assert _expand_qi(settled(QQi, combo), sources) == settled(QQi, row)
     for v in probes:
         residual = ech.reduce(v)
         again, combo = ech.reduce_with_combo(v)
@@ -231,9 +256,28 @@ def test_gaussian_values_are_in_normal_form(data):
     untracked = _echelon(QQi, sources)
     untracked.back_substitute()
     for col in untracked.pivot_of:
-        assert _normal_form(untracked.rows[untracked.pivot_of[col]])
-        assert _normal_form(untracked.pivot_residual(col))
-        assert untracked.reduce({col: 1}) == untracked.pivot_residual(col)
+        assert _reduced_triples(untracked.rows[untracked.pivot_of[col]])
+        assert _reduced_triples(untracked.pivot_residual(col))
+        assert untracked.reduce({col: 1}) == settled(QQi, untracked.pivot_residual(col))
+
+
+@SEEDED
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_triple_inverse_is_the_gaussian_inverse(x, y, d):
+    z = GaussianRational(Fraction(x, d), Fraction(y, d))
+    if not z:
+        with pytest.raises(NotInvertible):
+            _inverse(z.x, z.y, z.d)
+        return
+    inverse = z.inverse()
+    assert _inverse(z.x, z.y, z.d) == (inverse.x, inverse.y, inverse.d)
+
+
+def test_triple_inverse_fixes_the_sign_and_refuses_zero():
+    assert _inverse(-3, 0, 4) == (-4, 0, 3)
+    assert _inverse(0, -2, 3) == (0, 3, 2)
+    with pytest.raises(NotInvertible):
+        _inverse(0, 0, 1)
 
 
 def test_default_tag_and_column_tags_re_expand_over_qi():
