@@ -29,15 +29,15 @@ when something asks for them (degree n + 1, a class or a normal form in
 degree n): the echelon is then back-substituted once, and mu_a read off
 the reduced pivot rows (a pivot column's class in A_n is minus the rest
 of its row).  So a Hilbert prefix never back-substitutes its top degree.
-The tower holds its values as the kernel does.  Over F_p they are plain
-ints in [0, p) (Python integers, so nothing overflows): the relations are
-coerced once, and the rows built from them reach the kernel unreduced:
-it takes each value mod p, and drops it if it is zero, once, when its
-column comes up in the elimination.  Over Q(i) they are reduced
-(x, y, d) int triples: the relations are converted once (``unsettled``),
-the image rows are summed from mu's triples by ``linalg.add_multiple_qi``
-and reach the kernel unreduced, and mu is read off the kernel's rows
-(``pivot_residual``) as triples, so building the tower makes no
+The tower holds its values as the kernel does, over F_p plain ints in
+[0, p) (Python integers, so nothing overflows) and over Q(i) reduced
+(x, y, d) int triples, and one code path serves both fields: the
+relations are converted once (``linalg.unsettled``), the image rows are
+summed from mu's values by the field's row update (``linalg.add_multiple``
+or ``add_multiple_qi``) and reach the kernel unreduced, which settles
+each value, and drops it if it is zero, once, when its column comes up
+in the elimination; mu is read off the kernel's rows (``pivot_residual``)
+in the same form, so building the tower over Q(i) makes no
 ``GaussianRational`` product or sum.
 Pivots are lex-first and the lex order is multiplicative within a degree,
 so the basis words of A_n are exactly the normal words of the ideal slices.
@@ -56,7 +56,9 @@ unsettled, which settles each column as it pops it; so at A(2,-3,-1/5) a
 30-word degree-5 normal form makes no ``GaussianRational`` product or
 sum.  Certificates use (R)_n = (R)_{n-1} V + N_{n-2} R, N the span of the
 normal words: the degree-n rows account for f's image in A_{n-1} (x) V,
-and what is left is certified one degree down, letter by letter.
+and what is left is certified one degree down, letter by letter, all on
+the tracked kernel's own values (``held_combo``) and settled between
+letter steps by ``unsettled``.
 
 Over a function field F = Q(i)(params) the recursion is too slow to build
 (its degree-3 elimination over Q(i)(a,b,c,d) ran for minutes), so ``tower``
@@ -75,7 +77,7 @@ from itertools import product
 
 from .errors import DegreeCapExceeded, InvalidInput, NotInvertible, PreconditionViolated
 from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word, word_index
-from .linalg import SparseEchelon, add_multiple, add_multiple_qi, residues, settled, unsettled
+from .linalg import SparseEchelon, add_multiple, add_multiple_qi, settled, unsettled
 from .poly import FunctionField, MacaulaySlice, RationalFunction
 from .presentations import RelationSpace
 from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, RationalField, gaussian
@@ -135,15 +137,14 @@ class QuotientTower:
     def __init__(self, field, rows):
         self.field = field
         if isinstance(field, PrimeField):
-            self._add = add_multiple
-            self.one = field.one()
+            self._add, self.one = add_multiple, field.one()
         elif isinstance(field, RationalField):
-            self._add = add_multiple_qi
-            self.one = (1, 0, 1)
-            rows = [unsettled(field, row) for row in rows]
+            self._add, self.one = add_multiple_qi, (1, 0, 1)
         else:
             raise PreconditionViolated("the quotient tower is built over Q(i) or F_p only")
-        self.rows = rows          # the relations: column a*4+b -> coefficient of x_a x_b
+        # the relations (column a*4+b -> coefficient of x_a x_b) and their negatives
+        self.rows = [unsettled(field, row) for row in rows]
+        self._minus_rows = [unsettled(field, {c: -v for c, v in row.items()}) for row in rows]
         self.words = [[0], list(range(NGENS))]
         self._mu = [None, [[{j: self.one}] for j in range(NGENS)]]
         self._open = None         # the top degree's echelon while its mu is unread
@@ -167,37 +168,26 @@ class QuotientTower:
 
         e_i runs over the basis of A_{n-2} and r over relations, each a row
         over the columns a * 4 + b of the quadratic words; column = basis
-        index * 4 + letter.  Over Q(i) each term adds its coefficient
-        times mu's triples, shifted to its letter's columns, with the
-        kernel's ``add_multiple_qi``.  A term whose coefficient is the
-        field's one adds mu's entries as they are (over Q(i) only when it
-        comes first, as each reduced relation's x_a x_b does), so the row
-        shares them: building each product anew took 1 MB more at degree 9
-        of A(2,-3,-1/5).  A row may keep an entry that cancelled to zero;
-        the echelon drops it.
+        index * 4 + letter.  Each term adds its coefficient times mu's
+        entries, shifted to its letter's columns, with the kernel's row
+        update.  A first term whose coefficient is the field's one, as
+        each reduced relation's x_a x_b is, takes mu's entries as they are,
+        so the row shares them: building each product anew took 1 MB more
+        at degree 9 of A(2,-3,-1/5).  A row may keep an entry that
+        cancelled to zero; the echelon drops it.
         """
         below = self.mu(n - 1)
-        one = self.one
-        rels = [[(*divmod(c, NGENS), None if v == one else v) for c, v in rel.items()]
-                for rel in relations]
-        qi = self._add is add_multiple_qi
+        add, one = self._add, self.one
+        rels = [[(*divmod(c, NGENS), v) for c, v in rel.items()] for rel in relations]
         for i in range(len(self.words[n - 2])):
             for r, rel in enumerate(rels):
                 row = {}
                 for a, b, v in rel:
-                    if qi:
-                        shifted = {k * NGENS + b: w for k, w in below[a][i].items()}
-                        if v is None and not row:
-                            row = shifted
-                        else:
-                            add_multiple_qi(row, None, v or one, shifted)
-                        continue
-                    for k, w in below[a][i].items():
-                        if v is not None:
-                            w = v * w
-                        col = k * NGENS + b
-                        s = row.get(col)
-                        row[col] = w if s is None else s + w
+                    shifted = {k * NGENS + b: w for k, w in below[a][i].items()}
+                    if not row and v == one:
+                        row = shifted
+                    else:
+                        add(row, None, v, shifted)
                 yield (i, r), row
 
     def _extend(self):
@@ -295,30 +285,32 @@ class QuotientTower:
         once more with tracking, on the first certificate that needs them,
         built from the given relations and not the reduced ones, so that a
         term's relation index names one of ``self.rows`` and the term
-        re-expands against the relation space's own elements.
+        re-expands against the relation space's own elements.  Each held
+        coefficient is converted once and adds its multiple of the negated
+        relation.
         """
         self.dimension(n)
         out = []
         pending = [(unsettled(self.field, f.terms), n, ())]
         while pending:
             terms, m, right = pending.pop()
-            if m not in self._tracked:
-                self._tracked[m] = SparseEchelon(self.field, track=True)
+            ech = self._tracked.get(m)
+            if ech is None:
+                ech = self._tracked[m] = SparseEchelon(self.field, track=True)
                 for tag, row in self._image_rows(m, self.rows):
-                    self._tracked[m].insert(row, tag=tag)
-            residual, combo = self._tracked[m].reduce_with_combo(self._image(terms, m))
+                    ech.insert(row, tag=tag)
+            residual, combo = ech.held_combo(self._image(terms, m))
             if residual:
                 return None  # only f itself can fail: the later pieces lie in (R)_m
-            negated = unsettled(self.field, {tag: -lam for tag, lam in combo.items()})
+            lams = ech.public(combo)
             for (i, r), lam in combo.items():
                 left = index_word(self.words[m - 2][i], m - 2)
-                out.append((left, r, right, lam))
-                self._add(terms, None, negated[i, r],
-                          {left + divmod(c, NGENS): v for c, v in self.rows[r].items()})
+                out.append((left, r, right, lams[i, r]))
+                self._add(terms, None, lam,
+                          {left + divmod(c, NGENS): v for c, v in self._minus_rows[r].items()})
             # what is left has image zero, so each letter's piece lies in (R)_{m-1}
-            rest = unsettled(self.field, settled(self.field, terms))
             pending += [(piece, m - 1, (j,) + right)
-                        for j, piece in _by_last_letter(rest).items()]
+                        for j, piece in _by_last_letter(unsettled(self.field, terms)).items()]
         return out
 
 
@@ -492,19 +484,14 @@ class GradedQuotient:
         return self._parametric
 
     def _modular_tower(self) -> QuotientTower:
-        field = PrimeField(self.p)
-        rows = []
-        for row in self.space.rows:
-            if not all(isinstance(v, GaussianRational) for v in row.values()):
-                raise PreconditionViolated(
-                    "modular backend needs Q(i) relation coefficients"
-                )
-            try:
-                rows.append(residues(field, row))
-            except NotInvertible:
-                raise InvalidInput(f"the prime {self.p} divides a denominator of the "
-                                   f"relations of {self.space.label}") from None
-        return QuotientTower(field, rows)
+        if not all(isinstance(v, GaussianRational) for row in self.space.rows
+                   for v in row.values()):
+            raise PreconditionViolated("modular backend needs Q(i) relation coefficients")
+        try:
+            return QuotientTower(PrimeField(self.p), self.space.rows)
+        except NotInvertible:
+            raise InvalidInput(f"the prime {self.p} divides a denominator of the "
+                               f"relations of {self.space.label}") from None
 
     # -- dimensions ------------------------------------------------------
 

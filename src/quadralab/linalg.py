@@ -5,8 +5,7 @@ with +, -, *, /, bool works (Q(i), rational functions, root adjunctions).
 Over a prime field F_p the values are plain ints, as ``PrimeField`` holds
 them, so no update allocates a field element: the kernel takes any int
 representatives, and every row, residual and combo it stores or returns
-holds ints in [0, p) (``residues`` brings other scalars to that form;
-Python integers, so no modulus can overflow).
+holds ints in [0, p) (Python integers, so no modulus can overflow).
 
 Rows are kept in echelon form with the pivot at the leading (smallest)
 column, normalized to 1, so reduction against the basis scans columns left
@@ -26,13 +25,12 @@ gcd; dropped if it is zero), and every column of the vector is popped
 exactly once, so what the kernel stores is canonical.  The pivot inverse
 and the row scaling in ``insert`` are taken on triples too.  Values leave
 the kernel as ``GaussianRational``s only at ``reduce`` and
-``reduce_with_combo``, which convert their results once, and at
-``settled``; ``pivot_residual`` hands out triples.  A Q(i) vector may come
-in as triples already.
+``reduce_with_combo``, which convert their results once (``public``), and
+at ``settled``; ``pivot_residual`` and ``held_combo`` hand out triples.
 
-The quotient tower builds and reads with the same two helpers and the same
-forms: ``unsettled`` brings a vector to them, and ``settled`` settles each
-value once, into a ``GaussianRational`` in normal form or a residue.
+For both fields ``unsettled`` is the way into the kernel's form and
+``settled`` the way out; the quotient tower builds, reads and certifies
+between the two, with its field's row update as the one other difference.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
 quotient tower and Macaulay slices all use it.
@@ -52,15 +50,21 @@ from .scalars import GaussianRational, PrimeField, RationalField, _qi, _reduced
 
 
 def unsettled(field, vec):
-    """vec with each value in the form sums of it accumulate in over field.
+    """vec in the form the kernel holds and sums it in over field, its zeros dropped.
 
-    Over F_p that is ``residues``; over Q(i) each value becomes its
-    (x, y, d) triple, as ``add_multiple_qi`` and ``settled`` read it.
+    Over F_p each value goes through ``field.coerce`` into [0, p); over
+    Q(i) each value, or each summed triple, becomes a reduced (x, y, d)
+    triple, as ``add_multiple_qi`` and ``settled`` read it.
     """
-    if isinstance(field, PrimeField):
-        return residues(field, vec)
     coerce = field.coerce
-    return {k: (z.x, z.y, z.d) for k, v in vec.items() if (z := coerce(v))}
+    if isinstance(field, PrimeField):
+        return {k: r for k, v in vec.items() if (r := coerce(v))}
+    out = {}
+    for k, v in vec.items():
+        x, y, d = v if type(v) is tuple else ((z := coerce(v)).x, z.y, z.d)
+        if x or y:
+            out[k] = _triple(x, y, d)
+    return out
 
 
 def settled(field, vec):
@@ -97,19 +101,6 @@ def _inverse(x, y, d):
     return _triple(d * x, -d * y, x * x + y * y)
 
 
-def residues(field, vec):
-    """vec as ``SparseEchelon`` holds it over field, if that is F_p.
-
-    Over F_p each value goes through ``field.coerce`` and the zeros are
-    dropped, leaving nonzero ints in [0, p).  Over any other field vec is
-    returned as it is.
-    """
-    if not isinstance(field, PrimeField):
-        return vec
-    coerce = field.coerce
-    return {k: r for k, v in vec.items() if (r := coerce(v))}
-
-
 class SparseEchelon:
     """An online echelon basis over any exact field.
 
@@ -125,6 +116,7 @@ class SparseEchelon:
         self.track = track
         self.p = field.p if isinstance(field, PrimeField) else None
         self.qi = isinstance(field, RationalField)
+        self.one = (1, 0, 1) if self.qi else field.one()
         self.minus_one = (-1, 0, 1) if self.qi else -field.one()
         self.rows = []        # list[dict[int, scalar]], leading col normalized to 1
         self.pivot_of = {}    # column -> row index
@@ -208,21 +200,26 @@ class SparseEchelon:
                 add_multiple_qi(combo, None, (-x, -y, d), combos[ridx])
         return vec
 
-    def _public(self, vec):
-        """A reduced vec as ``reduce`` returns it: over Q(i) as ``GaussianRational``s."""
+    def public(self, vec):
+        """A held vec as ``reduce`` returns it: over Q(i) as ``GaussianRational``s, no gcd."""
         return {k: _qi(*t) for k, t in vec.items()} if self.qi else vec
 
     def reduce(self, vec):
         """Residual of vec modulo the row space (vec is not modified)."""
-        return self._public(self._reduce(dict(vec)))
+        return self.public(self._reduce(dict(vec)))
 
-    def reduce_with_combo(self, vec):
-        """(residual, combo) with vec = residual + sum(combo[k] * source_k)."""
+    def held_combo(self, vec):
+        """``reduce_with_combo``'s pair as the kernel holds it, before ``public``."""
         if not self.track:
             raise ValueError("echelon was built without certificate tracking")
         combo = {}
         residual = self._reduce(dict(vec), combo)
-        return self._public(residual), self._public(_scaled(combo, self.minus_one, self.p))
+        return residual, _scaled(combo, self.minus_one, self.p)
+
+    def reduce_with_combo(self, vec):
+        """(residual, combo) with vec = residual + sum(combo[k] * source_k)."""
+        residual, combo = self.held_combo(vec)
+        return self.public(residual), self.public(combo)
 
     def contains(self, vec) -> bool:
         return not self._reduce(dict(vec))
@@ -240,7 +237,7 @@ class SparseEchelon:
         p, pivot = self.p, work[col]
         inv = pow(pivot, -1, p) if p else _inverse(*pivot) if self.qi else pivot.inverse()
         if self.track:
-            combo[tag] = (1, 0, 1) if self.qi else self.field.one()
+            combo[tag] = self.one
             self.combos.append(_scaled(combo, inv, p))
         self.rows.append(_scaled(work, inv, p))
         self.pivot_of[col] = len(self.rows) - 1

@@ -14,7 +14,7 @@ permutation and scalars the library's constructor takes.
 """
 
 from quadralab.geometry import ProjectivePoint
-from quadralab.linalg import SparseEchelon, residues
+from quadralab.linalg import SparseEchelon
 from quadralab.symmetry import LinearAutomorphism
 
 
@@ -38,7 +38,7 @@ def mat_inverse(field, a):
     n = len(a)
     ech = SparseEchelon(field, track=True)
     for i, row in enumerate(a):
-        ech.insert(residues(field, {j: v for j, v in enumerate(row) if v}), tag=i)
+        ech.insert({j: v for j, v in enumerate(row) if v}, tag=i)
     if ech.rank < n:
         raise ValueError("matrix is singular")
     one, zero = field.one(), field.zero()

@@ -19,7 +19,7 @@ from quadralab.extension import ExtensionField
 from quadralab.freealg import FreeElement, from_vector
 from quadralab.geometry import PointTable
 from quadralab.graded import GradedQuotient
-from quadralab.linalg import SparseEchelon, residues, settled
+from quadralab.linalg import SparseEchelon, settled, unsettled
 from quadralab.presentations import chl_relations, chl_z_relations, sklyanin_relations
 from quadralab.scalars import MR_DETERMINISTIC_BOUND, GaussianRational, QI_I, gaussian, parse_scalar
 from quadralab.symmetry import ChlPsi
@@ -93,7 +93,7 @@ class TestBackendCrossValidation:
                            and gcd(v.x, v.y, v.d) == 1 for v in coords.values())
                 residual = ideal.reduce(f.coefficient_vector(n))
                 assert {exact.words[n][k]: v for k, v in coords.items()} == residual
-                assert modular.coordinates(f, n) == residues(modular.field, coords)
+                assert modular.coordinates(f, n) == unsettled(modular.field, coords)
                 member = f - from_vector(residual, n)
                 assert exact.coordinates(member, n) == {}
                 assert modular.coordinates(member, n) == {}
@@ -153,7 +153,7 @@ class TestBackendCrossValidation:
                         w = left + divmod(c, 4) + right
                         expanded[w] = (expanded.get(w, 0) + lam * v) % p
                 assert ({w: v for w, v in expanded.items() if v}
-                        == residues(modular.field, g.terms))
+                        == unsettled(modular.field, g.terms))
 
     def test_prime_above_two_to_the_64(self):
         # residues past the machine word: the dims of A(2,3,5) mod a

@@ -1,14 +1,15 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from quadralab import linalg
+from quadralab import graded, linalg
 from quadralab.errors import DegreeCapExceeded, PreconditionViolated
 from quadralab.freealg import FreeElement, from_vector, generators, index_word
 from quadralab.graded import GradedQuotient, QuotientTower, degree_cap, verify_certificate
-from quadralab.linalg import SparseEchelon, residues, settled, unsettled
+from quadralab.linalg import SparseEchelon, settled, unsettled
 from quadralab.presentations import chl_relations, sklyanin_relations
 from quadralab.scalars import GaussianRational, QQi, gaussian
 
@@ -230,6 +231,40 @@ class TestCertificates:
             certs.append(cert)
         assert hashlib.sha256(repr(certs).encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("backend", ["exact", "modular"])
+    def test_certificates_are_read_on_the_kernel_values(self, sklyanin, backend, monkeypatch):
+        # a count, not a timing: reading the combos as GaussianRationals,
+        # negating them and settling each letter step through settled made
+        # 951 negations and 85 settled calls in this warm 951-term
+        # degree-5 certificate
+        rng = random.Random(5)
+        f = FreeElement()
+        for _ in range(30):
+            word = tuple(rng.randrange(4) for _ in range(5))
+            f = f + FreeElement.from_word(word, gaussian(Fraction(rng.randint(1, 9), rng.randint(1, 7)),
+                                                         rng.randint(-2, 2)))
+        h = f - sklyanin.normal_form(f)
+        tower = sklyanin.tower(backend)
+        tower.certificate(h, 5)
+        calls = []
+        original_neg = GaussianRational.__neg__
+        monkeypatch.setattr(GaussianRational, "__neg__",
+                            lambda z: calls.append("__neg__") or original_neg(z))
+        for module in (linalg, graded):
+            monkeypatch.setattr(module, "settled",
+                                lambda *args: calls.append("settled") or settled(*args))
+        cert = tower.certificate(h, 5)
+        monkeypatch.undo()
+        assert calls == []
+        assert len(cert) > 100
+        if backend == "exact":
+            assert all(type(lam) is GaussianRational and lam and lam.d > 0
+                       and gcd(lam.x, lam.y, lam.d) == 1 for *_, lam in cert)
+        else:
+            p = tower.field.p
+            assert all(type(lam) is int and 0 < lam < p for *_, lam in cert)
+        assert _re_expands(sklyanin, backend, cert, h)
+
 
 def tampered(cert):
     """Three wrong copies of a certificate of degree 3 or more: a changed
@@ -267,7 +302,7 @@ def _re_expands(quotient, backend, cert, h):
         for c, v in tower.rows[r].items():
             w = left + divmod(c, 4) + right
             expanded[w] = (expanded.get(w, 0) + lam * v) % p
-    return {w: v for w, v in expanded.items() if v} == residues(tower.field, h.terms)
+    return {w: v for w, v in expanded.items() if v} == unsettled(tower.field, h.terms)
 
 
 class TestReadSide:
