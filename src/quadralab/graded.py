@@ -27,8 +27,9 @@ is built from the given relations in generation order, so that a
 certificate names ``space.elements``.  The mu_a of degree n are read only
 when something asks for them (degree n + 1, a class or a normal form in
 degree n): the echelon is then back-substituted once, and mu_a read off
-the reduced pivot rows (a pivot column's class in A_n is minus the rest
-of its row).  So a Hilbert prefix never back-substitutes its top degree.
+the reduced rows (a pivot column's class in A_n is minus its row, which
+the kernel stores without the pivot).  So a Hilbert prefix never
+back-substitutes its top degree.
 The tower holds its values as the kernel does, over F_p plain ints in
 [0, p) (Python integers, so nothing overflows) and over Q(i) reduced
 (x, y, d) int triples, and one code path serves both fields: the
@@ -203,8 +204,8 @@ class QuotientTower:
         last, so a row meets only pivots at or right of its leading column,
         whose rows in turn met only pivots at or right of theirs.
         Generation order mixes the two ends and fills the rows in: at
-        A(2,-3,-1/5) the unreduced degree-6 echelon stores 1,410 entries
-        this way against 3,746, and the degree-7 one 2,590 against 8,706,
+        A(2,-3,-1/5) the unreduced degree-6 echelon stores 1,270 entries
+        this way against 3,606, and the degree-7 one 2,374 against 8,490,
         its largest coefficient 145 bits against 206.  The order cannot
         change ``words`` or mu: the lex-first pivots depend only on the row
         space, and so does the back-substituted form that ``_finish`` reads.
@@ -229,12 +230,15 @@ class QuotientTower:
 
         Degree 2's reduced rows, x_a x_b - NF(x_a x_b) for each pivot
         column a * 4 + b, are kept, by pivot column, as the relations
-        ``_extend`` builds the higher degrees from.
+        ``_extend`` builds the higher degrees from.  The echelon stores a
+        row without its pivot, so the unit x_a x_b is put back first, as
+        the term ``_image_rows`` shares.
         """
         ech, self._open = self._open, None
         ech.back_substitute()
         if len(self._mu) == 2:
-            self._reduced = [ech.rows[ech.pivot_of[c]] for c in sorted(ech.pivot_of)]
+            self._reduced = [{c: self.one, **ech.rows[ech.pivot_of[c]]}
+                             for c in sorted(ech.pivot_of)]
         prev = self.words[len(self._mu) - 1]
         free = [c for c in range(NGENS * len(prev)) if c not in ech.pivot_of]
         index = {c: k for k, c in enumerate(free)}

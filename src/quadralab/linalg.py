@@ -8,18 +8,20 @@ representatives, and every row, residual and combo it stores or returns
 holds ints in [0, p) (Python integers, so no modulus can overflow).
 
 Rows are kept in echelon form with the pivot at the leading (smallest)
-column, normalized to 1, so reduction against the basis scans columns left
-to right and never reintroduces a pivot column.  Pivot choice is therefore
+column, normalized to 1.  A stored row holds only the entries right of its
+pivot; the pivot's 1 is implied by ``pivot_of``, so a row update needs no
+column to leave out.  Reduction against the basis scans columns left to
+right and never reintroduces a pivot column.  Pivot choice is therefore
 "lex-first", which makes normal forms canonical.
 
 Reduction is lazy: a row update (``add_multiple``) neither tests for zero
 nor, over F_p, takes a remainder.  Over Q(i) the kernel holds no
 ``GaussianRational``: its rows, its tracked combos and the values under
 elimination are (x, y, d) int triples, (x + y*i)/d with d > 0
-(``add_multiple_qi``).  A stored triple is reduced, gcd(x, y, d) = 1, and
-a pivot is exactly (1, 0, 1); under elimination a product is not reduced,
-and a sum is taken over the lcm of the two denominators and divided by its
-gcd only when that lcm is larger than both.  A column's value is settled
+(``add_multiple_qi``).  A stored triple is reduced, gcd(x, y, d) = 1;
+under elimination a product is not reduced, and a sum is taken over the
+lcm of the two denominators and divided by its gcd only when that lcm is
+larger than both.  A column's value is settled
 when the column is popped (over F_p taken mod p, over Q(i) divided by one
 gcd; dropped if it is zero), and every column of the vector is popped
 exactly once, so what the kernel stores is canonical.  The pivot inverse
@@ -118,7 +120,7 @@ class SparseEchelon:
         self.qi = isinstance(field, RationalField)
         self.one = (1, 0, 1) if self.qi else field.one()
         self.minus_one = (-1, 0, 1) if self.qi else -field.one()
-        self.rows = []        # list[dict[int, scalar]], leading col normalized to 1
+        self.rows = []        # list[dict[int, scalar]], the entries right of each pivot
         self.pivot_of = {}    # column -> row index
         self.combos = []      # parallel to rows when track=True
 
@@ -154,7 +156,7 @@ class SparseEchelon:
                 vec[col] = coeff
                 continue
             del vec[col]
-            add_multiple(vec, heap, -coeff, rows[ridx], col)
+            add_multiple(vec, heap, -coeff, rows[ridx])
             if combo is not None:
                 add_multiple(combo, None, -coeff, self.combos[ridx])
         return vec
@@ -195,7 +197,7 @@ class SparseEchelon:
                 vec[col] = (x, y, d)
                 continue
             del vec[col]
-            add_multiple_qi(vec, heap, (-x, -y, d), rows[ridx], col)
+            add_multiple_qi(vec, heap, (-x, -y, d), rows[ridx])
             if combo is not None:
                 add_multiple_qi(combo, None, (-x, -y, d), combos[ridx])
         return vec
@@ -227,14 +229,16 @@ class SparseEchelon:
     def insert(self, vec, tag=None):
         """Reduce and store vec if independent; returns pivot column or None.
 
-        With tracking, ``tag`` names vec in the combos.
+        The stored row is the rest of the reduced vec, scaled by the
+        inverse of its popped pivot.  With tracking, ``tag`` names vec in
+        the combos.
         """
         combo = {} if self.track else None
         work = self._reduce(dict(vec), combo)
         if not work:
             return None
         col = min(work)
-        p, pivot = self.p, work[col]
+        p, pivot = self.p, work.pop(col)
         inv = pow(pivot, -1, p) if p else _inverse(*pivot) if self.qi else pivot.inverse()
         if self.track:
             combo[tag] = self.one
@@ -246,45 +250,35 @@ class SparseEchelon:
     def back_substitute(self):
         """Bring the stored rows to reduced echelon form, in place.
 
-        Each row becomes its pivot plus the residual of the rest, so no row
-        keeps an entry on another row's pivot column and the residual of a
-        pivot column is minus the rest of its row (``pivot_residual``).
-        Rows go in decreasing pivot order, so each reduces against rows
-        already reduced.  Refused with tracking, whose combos it would not
-        update.
+        Each row becomes its residual, so no row keeps an entry on another
+        row's pivot column and the residual of a pivot column is minus its
+        row (``pivot_residual``).  Rows go in decreasing pivot order, so
+        each reduces against rows already reduced.  Refused with tracking,
+        whose combos it would not update.
         """
         if self.track:
             raise ValueError("back-substitution does not update certificate combos")
         for col in sorted(self.pivot_of, reverse=True):
-            ridx = self.pivot_of[col]
-            row = self.rows[ridx]
-            self.rows[ridx] = {col: row[col],
-                               **self._reduce({c: v for c, v in row.items() if c != col})}
+            r = self.pivot_of[col]
+            self.rows[r] = self._reduce(dict(self.rows[r]))
 
     def pivot_residual(self, col):
         """The residual of the unit vector at pivot column col, once back-substituted.
 
-        That is minus the rest of col's row, read off without a reduction;
-        over Q(i) as reduced triples.
+        That is minus col's stored row, read off without a reduction; over
+        Q(i) as reduced triples.
         """
-        row = self.rows[self.pivot_of[col]]
-        return _scaled({k: v for k, v in row.items() if k != col}, self.minus_one, self.p)
+        return _scaled(self.rows[self.pivot_of[col]], self.minus_one, self.p)
 
 
-#: a skip for ``add_multiple`` that no column or tag equals
-_NO_KEY = object()
-
-
-def add_multiple(acc, heap, coeff, row, skip=_NO_KEY):
-    """acc += coeff * row with the field's own + and *, row's column skip left out.
+def add_multiple(acc, heap, coeff, row):
+    """acc += coeff * row with the field's own + and *.
 
     Nothing is tested for zero, and over F_p nothing is taken mod p: the
     ints stay unreduced until their reader settles them.  A column new to
     acc is pushed on heap, if one is given.
     """
     for c, v in row.items():
-        if c == skip:
-            continue
         s = acc.get(c)
         if s is None:
             acc[c] = coeff * v
@@ -294,7 +288,7 @@ def add_multiple(acc, heap, coeff, row, skip=_NO_KEY):
             acc[c] = s + coeff * v
 
 
-def add_multiple_qi(acc, heap, coeff, row, skip=_NO_KEY):
+def add_multiple_qi(acc, heap, coeff, row):
     """``add_multiple`` over Q(i), on (x, y, d) int triples.
 
     coeff, row's values and acc's values are triples (x + y*i)/d with
@@ -308,8 +302,6 @@ def add_multiple_qi(acc, heap, coeff, row, skip=_NO_KEY):
     """
     x, y, d = coeff
     for c, (a, b, e) in row.items():
-        if c == skip:
-            continue
         px, py, pd = x * a - y * b, x * b + y * a, d * e
         s = acc.get(c)
         if s is None:

@@ -555,12 +555,12 @@ def symmetrize_row(row: dict) -> dict:
 
 
 def commutative_quotient_deg2(space: RelationSpace):
-    """Echelon basis of the symmetrized relation image in the 10-dim square.
+    """(dimension, pivot monomial pairs) of the symmetrized relation image.
 
-    Returns (dimension, pivot monomial pairs, echelon object).
+    The image lies in the 10-dim symmetric square; the pivots are the
+    lex-first ones of its echelon basis.
     """
     ech = SparseEchelon(space.field)
     for row in space.rows:
         ech.insert(symmetrize_row(row))
-    pivots = [SYM_BASIS[c] for c in ech.pivots()]
-    return ech.rank, pivots, ech
+    return ech.rank, [SYM_BASIS[c] for c in ech.pivots()]

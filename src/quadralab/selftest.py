@@ -267,7 +267,7 @@ def a10_elliptic_data():
 
 
 def a11_commutative_quotient():
-    dim, pivots, _ = commutative_quotient_deg2(sklyanin_relations(2, 3, 5))
+    dim, pivots = commutative_quotient_deg2(sklyanin_relations(2, 3, 5))
     squarefree = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     ok = dim == 6 and pivots == squarefree
     return ok, f"dim {dim}, pivot monomials {pivots}"

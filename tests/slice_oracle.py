@@ -38,11 +38,14 @@ class ExactSlices:
             return ech
         prev = self.slice(n - 1)
         width = NGENS ** (n - 1)
-        # x_g (x) W_{n-1}: shifted copies of the previous echelon rows
+        # x_g (x) W_{n-1}: shifted copies of the previous echelon rows, each
+        # with its pivot's 1 put back (a stored row holds only the rest)
+        one = self.space.field.one()
+        rows = [{col: one, **prev.rows[ridx]} for col, ridx in sorted(prev.pivot_of.items())]
         for g in range(NGENS):
             base = g * width
-            for _, ridx in sorted(prev.pivot_of.items()):
-                ech.insert({base + c: v for c, v in prev.rows[ridx].items()})
+            for row in rows:
+                ech.insert({base + c: v for c, v in row.items()})
         # R (x) V^{(n-2)}: the only rows that need honest reduction
         suffix_count = NGENS ** (n - 2)
         for rel in self.space.rows:

@@ -1,19 +1,24 @@
 """Seeded properties of the one echelon kernel, ``SparseEchelon``.
 
-Rows are random sparse vectors over Q(i) and F_65537, mixed with linear
-combinations of earlier rows so that some inserts are dependent.  Over
-F_65537 the kernel holds int residues, so the values drawn there are ints.
-The properties pin ``back_substitute``: it keeps the row space, pivots and
-residuals, leaves each pivot row with free columns only besides its pivot,
-and leaves the echelon usable for further inserts.  Over F_p every value
-the kernel stores or returns is an int in [0, p), whatever int
-representatives it is given, and tracked combos re-expand to the input.
-Over Q(i), whatever mix of non-real values, ints and Fractions it is
-given, every value the kernel stores (rows, combos, ``pivot_residual``) is
-a nonzero reduced (x, y, d) int triple, d > 0 and gcd(x, y, d) = 1, with
-each pivot exactly (1, 0, 1), and every value ``reduce`` and
-``reduce_with_combo`` return is a nonzero ``GaussianRational`` in normal
-form.  The kernel's triple inverse is ``GaussianRational.inverse``.
+Rows are random sparse vectors over Q(i), F_65537 and the function field
+Q(i)(t), mixed with linear combinations of earlier rows so that some
+inserts are dependent.  Over F_65537 the kernel holds int residues, so the
+values drawn there are ints; over Q(i)(t) it holds the field's own
+``RationalFunction``s, drawn as a + b*t, and the draws stay small (6
+columns, 4 rows) because their entries grow with no gcd.  A stored row
+holds only the entries right of its pivot, whose 1 is implied, after
+``insert`` and after ``back_substitute``, and a tracked row's combo
+re-expands to the pivot's 1 plus the row.  The properties pin
+``back_substitute``: it keeps the row space, pivots and residuals, leaves
+each row with free columns only, and leaves the echelon usable for further
+inserts.  Over F_p every value the kernel stores or returns is an int in
+[0, p), whatever int representatives it is given, and tracked combos
+re-expand to the input.  Over Q(i), whatever mix of non-real values, ints
+and Fractions it is given, every value the kernel stores (rows, combos,
+``pivot_residual``) is a nonzero reduced (x, y, d) int triple, d > 0 and
+gcd(x, y, d) = 1, and every value ``reduce`` and ``reduce_with_combo``
+return is a nonzero ``GaussianRational`` in normal form.  The kernel's
+triple inverse is ``GaussianRational.inverse``.
 The dense oracle ``mat_inverse`` (``tests/dense_oracle.py``), built on the
 tracked kernel, returns int residues over F_p whatever int representatives
 it is given; ``det4(a) % p`` is its singularity oracle.
@@ -30,7 +35,7 @@ from hypothesis import strategies as st
 from dense_oracle import identity_matrix, mat_inverse, mat_mul
 from quadralab.errors import NotInvertible
 from quadralab.linalg import SparseEchelon, _inverse, settled
-from quadralab.poly import det4
+from quadralab.poly import FunctionField, PolyRing, RationalFunction, det4
 from quadralab.scalars import QI_I, GaussianRational, PrimeField, QQi
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -38,12 +43,15 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=3
 NCOLS = 10
 P = 65537
 F65537 = PrimeField(P)
+QT = FunctionField(PolyRing(("t",)))
+T = QT.gen("t")
 _small = st.integers(-3, 3)
-# (field, scalars, canonical form of a value)
+# (field, scalars, canonical form of a value, (columns, most rows drawn))
 FIELDS = {
     "qi": (QQi, st.builds(lambda x, y, d: GaussianRational(Fraction(x, d), Fraction(y, d)),
-                          _small, _small, st.integers(1, 3)), lambda v: v),
-    "f65537": (F65537, st.integers(0, P - 1), lambda v: v % P),
+                          _small, _small, st.integers(1, 3)), lambda v: v, (NCOLS, 9)),
+    "f65537": (F65537, st.integers(0, P - 1), lambda v: v % P, (NCOLS, 9)),
+    "t": (QT, st.builds(lambda a, b: a + b * T, _small, _small), lambda v: v, (6, 4)),
 }
 
 
@@ -52,15 +60,26 @@ def _reduced_triple(t):
             and (t[0] or t[1]) and t[2] > 0 and gcd(*t) == 1)
 
 
-# (a pivot's stored value, the stored form of a nonzero value, its negation)
+# (the stored form of a nonzero value, its negation)
 STORED = {
-    "qi": ((1, 0, 1), _reduced_triple, lambda t: (-t[0], -t[1], t[2])),
-    "f65537": (1, lambda v: type(v) is int and 0 < v < P, lambda v: -v % P),
+    "qi": (_reduced_triple, lambda t: (-t[0], -t[1], t[2])),
+    "f65537": (lambda v: type(v) is int and 0 < v < P, lambda v: -v % P),
+    "t": (lambda v: type(v) is RationalFunction and bool(v), lambda v: -v),
 }
 
 
-def _vectors(scalars):
-    return st.dictionaries(st.integers(0, NCOLS - 1), scalars.filter(bool), max_size=5)
+def _settled(field, vec):
+    """``settled`` over Q(i) and F_p; over Q(i)(t) the kernel holds values as they are."""
+    return vec if field is QT else settled(field, vec)
+
+
+def _right_of_pivots(ech):
+    """Every stored row holds only columns right of its pivot."""
+    return all(c > col for col, r in ech.pivot_of.items() for c in ech.rows[r])
+
+
+def _vectors(scalars, ncols=NCOLS):
+    return st.dictionaries(st.integers(0, ncols - 1), scalars.filter(bool), max_size=5)
 
 
 def _combination(rows, coeffs, canon):
@@ -71,16 +90,18 @@ def _combination(rows, coeffs, canon):
     return {k: r for k, v in out.items() if (r := canon(v))}
 
 
-def _draw_rows(data, scalars, canon):
-    """Random rows, some of them combinations of earlier ones."""
+def _draw_rows(data, scalars, canon, size=(NCOLS, 9)):
+    """Random rows over size[0] columns, at most size[1], some of them
+    combinations of earlier ones."""
+    ncols, most = size
     rows = []
-    for _ in range(data.draw(st.integers(1, 9))):
+    for _ in range(data.draw(st.integers(1, most))):
         if rows and data.draw(st.booleans()):
             picked = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
             coeffs = [data.draw(scalars) for _ in picked]
             rows.append(_combination(picked, coeffs, canon))
         else:
-            rows.append(data.draw(_vectors(scalars)))
+            rows.append(data.draw(_vectors(scalars, ncols)))
     return rows
 
 
@@ -95,14 +116,16 @@ def _echelon(field, rows):
 @SEEDED
 @given(data=st.data())
 def test_back_substitution_keeps_the_row_space(kind, data):
-    field, scalars, canon = FIELDS[kind]
-    rows = _draw_rows(data, scalars, canon)
-    probes = [data.draw(_vectors(scalars)) for _ in range(4)]
+    field, scalars, canon, size = FIELDS[kind]
+    rows = _draw_rows(data, scalars, canon, size)
+    probes = [data.draw(_vectors(scalars, size[0])) for _ in range(4)]
     ech = _echelon(field, rows)
     rank, pivots = ech.rank, ech.pivots()
+    assert _right_of_pivots(ech)
     before = [ech.reduce(v) for v in probes]
     ech.back_substitute()
     assert ech.rank == rank and ech.pivots() == pivots
+    assert _right_of_pivots(ech)
     for row in rows:
         assert ech.contains(row)
     for v, residual in zip(probes, before):
@@ -116,30 +139,32 @@ def test_back_substitution_keeps_the_row_space(kind, data):
 @SEEDED
 @given(data=st.data())
 def test_back_substituted_rows_are_reduced(kind, data):
-    field, scalars, canon = FIELDS[kind]
-    one, stored, negated = STORED[kind]
-    ech = _echelon(field, _draw_rows(data, scalars, canon))
+    field, scalars, canon, size = FIELDS[kind]
+    stored, negated = STORED[kind]
+    ech = _echelon(field, _draw_rows(data, scalars, canon, size))
     ech.back_substitute()
     for col, ridx in ech.pivot_of.items():
         row = ech.rows[ridx]
-        assert min(row) == col and row[col] == one
+        assert all(c > col for c in row)
         assert all(map(stored, row.values()))
-        assert not (set(row) - {col}) & set(ech.pivot_of)
-        # the residual of a pivot column is minus the rest of its row (mod p
-        # over F_p), held as the rows are and returned settled by reduce
-        minus_rest = {c: negated(v) for c, v in row.items() if c != col}
-        assert ech.pivot_residual(col) == minus_rest
-        assert ech.reduce({col: field.one()}) == settled(field, minus_rest)
+        assert not set(row) & set(ech.pivot_of)
+        # the implied pivot is 1: the pivot plus the row lies in the row space
+        assert ech.contains({col: field.one(), **row})
+        # the residual of a pivot column is minus its row (mod p over F_p),
+        # held as the rows are and returned settled by reduce
+        minus_row = {c: negated(v) for c, v in row.items()}
+        assert ech.pivot_residual(col) == minus_row
+        assert ech.reduce({col: field.one()}) == _settled(field, minus_row)
 
 
 @pytest.mark.parametrize("kind", FIELDS)
 @SEEDED
 @given(data=st.data())
 def test_insert_after_back_substitution(kind, data):
-    field, scalars, canon = FIELDS[kind]
-    rows = _draw_rows(data, scalars, canon)
-    later = _draw_rows(data, scalars, canon)
-    probes = [data.draw(_vectors(scalars)) for _ in range(4)]
+    field, scalars, canon, size = FIELDS[kind]
+    rows = _draw_rows(data, scalars, canon, size)
+    later = _draw_rows(data, scalars, canon, size)
+    probes = [data.draw(_vectors(scalars, size[0])) for _ in range(4)]
     ech = _echelon(field, rows)
     ech.back_substitute()
     for row in later:
@@ -158,7 +183,9 @@ def test_back_substitution_refuses_a_tracked_echelon():
     ech.insert({1: QQi.one()}, tag=1)
     with pytest.raises(ValueError):
         ech.back_substitute()
-    assert ech.rows[0] == {0: (1, 0, 1), 1: (1, 0, 1)}
+    # row 0 keeps its entry on row 1's pivot: it was not back-substituted
+    assert ech.pivot_of == {0: 0, 1: 1}
+    assert ech.rows == [{1: (1, 0, 1)}, {}]
 
 
 def _canonical_residues(vec):
@@ -184,9 +211,11 @@ def test_prime_field_values_are_canonical_residues(data):
     ech = SparseEchelon(F65537, track=True)
     for k, row in enumerate(sources):
         ech.insert(row, tag=k)
-    for row, combo in zip(ech.rows, ech.combos):
+    for col, ridx in ech.pivot_of.items():
+        row, combo = ech.rows[ridx], ech.combos[ridx]
+        assert all(c > col for c in row)
         assert _canonical_residues(row) and _canonical_residues(combo)
-        assert _expand(combo, sources) == row
+        assert _expand(combo, sources) == {col: 1, **row}
     for v in probes:
         residual = ech.reduce(v)
         again, combo = ech.reduce_with_combo(v)
@@ -213,8 +242,8 @@ def _reduced_triples(vec):
     return all(map(_reduced_triple, vec.values()))
 
 
-def _expand_qi(combo, sources):
-    """sum combo[k] * sources[k] over Q(i), without its zeros."""
+def _expand_exact(combo, sources):
+    """sum combo[k] * sources[k] over Q(i) or Q(i)(t), without its zeros."""
     out = {}
     for k, c in combo.items():
         for col, v in sources[k].items():
@@ -239,17 +268,19 @@ def test_gaussian_values_are_in_normal_form(data):
     ech = SparseEchelon(QQi, track=True)
     for k, row in enumerate(sources):
         ech.insert(row, tag=k)
-    for row, combo in zip(ech.rows, ech.combos):
+    for col, ridx in ech.pivot_of.items():
+        row, combo = ech.rows[ridx], ech.combos[ridx]
+        assert all(c > col for c in row)
         assert _reduced_triples(row) and _reduced_triples(combo)
-        assert min(row) in ech.pivot_of and row[min(row)] == (1, 0, 1)
-        assert _expand_qi(settled(QQi, combo), sources) == settled(QQi, row)
+        assert _expand_exact(settled(QQi, combo), sources) == {col: QQi.one(),
+                                                               **settled(QQi, row)}
     for v in probes:
         residual = ech.reduce(v)
         again, combo = ech.reduce_with_combo(v)
         assert again == residual
         assert _normal_form(residual) and _normal_form(combo)
         # v = residual + sum combo[k] * source_k, exactly
-        expanded = _expand_qi(combo, sources)
+        expanded = _expand_exact(combo, sources)
         for col, r in residual.items():
             expanded[col] = expanded.get(col, 0) + r
         assert {c: r for c, r in expanded.items() if r} == {c: r for c, r in v.items() if r}
@@ -259,6 +290,30 @@ def test_gaussian_values_are_in_normal_form(data):
         assert _reduced_triples(untracked.rows[untracked.pivot_of[col]])
         assert _reduced_triples(untracked.pivot_residual(col))
         assert untracked.reduce({col: 1}) == settled(QQi, untracked.pivot_residual(col))
+
+
+@SEEDED
+@given(data=st.data())
+def test_function_field_combos_re_expand(data):
+    field, scalars, canon, size = FIELDS["t"]
+    sources = _draw_rows(data, scalars, canon, size)
+    probes = [data.draw(_vectors(scalars, size[0])) for _ in range(2)]
+    ech = SparseEchelon(field, track=True)
+    for k, row in enumerate(sources):
+        ech.insert(row, tag=k)
+    for col, ridx in ech.pivot_of.items():
+        row = ech.rows[ridx]
+        assert all(c > col for c in row)
+        assert _expand_exact(ech.combos[ridx], sources) == {col: field.one(), **row}
+    for v in probes:
+        residual, combo = ech.reduce_with_combo(v)
+        assert residual == ech.reduce(v)
+        assert not set(residual) & set(ech.pivot_of)
+        # v = residual + sum combo[k] * source_k, exactly
+        expanded = _expand_exact(combo, sources)
+        for col, r in residual.items():
+            expanded[col] = expanded.get(col, 0) + r
+        assert {c: r for c, r in expanded.items() if r} == v
 
 
 @SEEDED
@@ -290,7 +345,7 @@ def test_default_tag_and_column_tags_re_expand_over_qi():
     v = {0: 2, 1: Fraction(1, 3), 2: 1}
     residual, combo = ech.reduce_with_combo(v)
     assert not residual
-    assert _expand_qi(combo, sources) == v
+    assert _expand_exact(combo, sources) == v
 
 
 def _f65537_matrix(rng):

@@ -65,7 +65,7 @@ class TestSklyaninRelations:
 class TestChlRelations:
     def test_commutative_point(self):
         space = chl_relations(1, -1, 0, 0)
-        dim, pivots, _ = commutative_quotient_deg2(space)
+        dim, pivots = commutative_quotient_deg2(space)
         assert dim == 0  # every relation is a commutator
 
     def test_rank_six(self):
@@ -97,7 +97,7 @@ class TestZBasis:
 
     def test_commutative_point_z_form(self):
         space = chl_z_relations(1, -1, 0, 0)
-        dim, _, _ = commutative_quotient_deg2(space)
+        dim, _ = commutative_quotient_deg2(space)
         assert dim == 0
 
     def test_symbolic_construction(self):
@@ -336,12 +336,12 @@ class TestIsomorphismSubstitutions:
 
 class TestCommutativeQuotient:
     def test_generic_dimension_six(self):
-        dim, pivots, _ = commutative_quotient_deg2(sklyanin_relations(2, 3, 5))
+        dim, pivots = commutative_quotient_deg2(sklyanin_relations(2, 3, 5))
         assert dim == 6
         assert pivots == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def test_all_zero_parameters(self):
-        dim, _, _ = commutative_quotient_deg2(sklyanin_relations(0, 0, 0))
+        dim, _ = commutative_quotient_deg2(sklyanin_relations(0, 0, 0))
         assert dim == 3
 
 
