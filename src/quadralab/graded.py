@@ -45,10 +45,16 @@ so the basis words of A_n are exactly the normal words of the ideal slices.
 Over Q a rank mod p can only drop, so modular dimensions are upper bounds
 for the exact ones and are labeled as evidence, not proof.
 
-An element's class in A_n composes the mu maps: the words ending in x_b
-form an element of degree n - 1 times x_b, whose class in A_{n-1} fills
-the columns of A_{n-1} (x) V that degree n's mu projects to A_n; membership,
-normal forms and centrality read that class.  The read side, like the
+An element's class in A_n composes the mu maps along its words, and is
+read breadth-first, one degree at a time (``_classes``): the words are
+grouped once by the suffix after their first letter, and degree d's mu
+carries each group's class in A_{d-1}, through the suffix's next letter,
+into the class in A_d of the group whose suffix is one letter shorter.
+Level n holds the class in A_n (suffix ``()``), which membership, normal
+forms and centrality read; level n - 1, where the suffixes are single
+letters x_b, holds the image in A_{n-1} (x) V (class k fills column
+k * 4 + b).  Each word is sliced once and each group's class carried
+once per degree, one row update per coordinate.  The read side, like the
 write side, keeps its values unsettled, as the kernel does: over Q(i)
 (x, y, d) int triples summed by ``linalg.add_multiple_qi``, over F_p
 unreduced ints.  Each coordinate of a class is settled once, with one gcd
@@ -57,9 +63,10 @@ unsettled, which settles each column as it pops it; so at A(2,-3,-1/5) a
 30-word degree-5 normal form makes no ``GaussianRational`` product or
 sum.  Certificates use (R)_n = (R)_{n-1} V + N_{n-2} R, N the span of the
 normal words: the degree-n rows account for f's image in A_{n-1} (x) V,
-and what is left is certified one degree down, letter by letter, all on
-the tracked kernel's own values (``held_combo``) and settled between
-letter steps by ``unsettled``.
+and what is left is certified one degree down, each piece grouped by its
+last letter as the read groups by suffix, all on the tracked kernel's own
+values (``held_combo``) and settled between letter steps by
+``unsettled``.
 
 Over a function field F = Q(i)(params) the recursion is too slow to build
 (its degree-3 elimination over Q(i)(a,b,c,d) ran for minutes), so ``tower``
@@ -110,14 +117,6 @@ def _check_cap(n: int, force=False):
     cap = degree_cap()
     if n > cap and not force:
         raise DegreeCapExceeded(n, cap)
-
-
-def _by_last_letter(terms: dict) -> dict:
-    """{b: {w: value}} for the terms {w + (b,): value}."""
-    pieces = {}
-    for word, v in terms.items():
-        pieces.setdefault(word[-1], {})[word[:-1]] = v
-    return pieces
 
 
 class QuotientTower:
@@ -252,35 +251,39 @@ class QuotientTower:
                     mu[j].append({index[c]: v for c, v in ech.pivot_residual(col).items()})
         self._mu.append(mu)
 
-    def _class(self, terms: dict, n: int) -> dict:
-        """The class in A_n of the degree-n element {word: value}, unsettled.
+    def _classes(self, terms: dict, top: int) -> dict:
+        """{suffix: class in A_top of the prefix} for the words prefix + suffix.
 
-        Values come and go as ``unsettled`` leaves them (degree n's mu
-        already read): each column of the image is projected once, by
-        adding its value times a row of mu.
+        The element is {word: value}, the prefixes have length top, and the
+        classes are unsettled (degree top's mu already read).  The words are
+        grouped once by the suffix after their first letter, that letter
+        being its own class in A_1.  For d = 2 .. top each group's class
+        goes through degree d's mu of the suffix's first letter, one row
+        update per coordinate, into the group of the suffix one letter
+        shorter.  At A(2,-3,-1/5) a 30-word degree-5 class makes 234 row
+        updates over 715 entries.
         """
-        if n == 1:
-            return {word[0]: v for word, v in terms.items()}
-        add, mu = self._add, self._mu[n]
-        out = {}
-        for col, v in self._image(terms, n).items():
-            i, j = divmod(col, NGENS)
-            add(out, None, v, mu[j][i])
-        return out
-
-    def _image(self, terms: dict, n: int) -> dict:
-        """The image in A_{n-1} (x) V of the degree-n element {word: value}, unsettled.
-
-        The words ending in x_b make one element of degree n - 1 times x_b,
-        and its class fills the columns k * 4 + b.
-        """
-        return {k * NGENS + b: v for b, piece in _by_last_letter(terms).items()
-                for k, v in self._class(piece, n - 1).items()}
+        groups = {}
+        for word, v in terms.items():
+            groups.setdefault(word[1:], {})[word[0]] = v
+        add = self._add
+        for d in range(2, top + 1):
+            mu, level = self._mu[d], {}
+            for suffix, cls in groups.items():
+                out, row = level.setdefault(suffix[1:], {}), mu[suffix[0]]
+                for k, v in cls.items():
+                    add(out, None, v, row[k])
+            groups = level
+        return groups
 
     def coordinates(self, f: FreeElement, n: int) -> dict:
-        """The class of the degree-n element f in A_n, over the basis words[n]."""
+        """The class of the degree-n element f in A_n, over the basis words[n].
+
+        Read breadth-first to level n (``_classes``), whose one suffix is
+        ``()``; each coordinate is settled once.
+        """
         self.mu(n)
-        return settled(self.field, self._class(unsettled(self.field, f.terms), n))
+        return settled(self.field, self._classes(unsettled(self.field, f.terms), n).get((), {}))
 
     def certificate(self, f: FreeElement, n: int):
         """f as a list of (left word, relation index, right word, coeff), or None.
@@ -289,9 +292,12 @@ class QuotientTower:
         once more with tracking, on the first certificate that needs them,
         built from the given relations and not the reduced ones, so that a
         term's relation index names one of ``self.rows`` and the term
-        re-expands against the relation space's own elements.  Each held
-        coefficient is converted once and adds its multiple of the negated
-        relation.
+        re-expands against the relation space's own elements.  f's image in
+        A_{n-1} (x) V is read from level n - 1 of ``_classes``, where the
+        suffixes are single letters.  Each held coefficient is converted
+        once and adds its multiple of the negated relation; what is left is
+        split by its last letter, grouped by suffix as ``_classes`` groups,
+        into pieces certified one degree down.
         """
         self.dimension(n)
         out = []
@@ -303,7 +309,9 @@ class QuotientTower:
                 ech = self._tracked[m] = SparseEchelon(self.field, track=True)
                 for tag, row in self._image_rows(m, self.rows):
                     ech.insert(row, tag=tag)
-            residual, combo = ech.held_combo(self._image(terms, m))
+            image = {k * NGENS + b: v for (b,), cls in self._classes(terms, m - 1).items()
+                     for k, v in cls.items()}
+            residual, combo = ech.held_combo(image)
             if residual:
                 return None  # only f itself can fail: the later pieces lie in (R)_m
             lams = ech.public(combo)
@@ -313,8 +321,10 @@ class QuotientTower:
                 self._add(terms, None, lam,
                           {left + divmod(c, NGENS): v for c, v in self._minus_rows[r].items()})
             # what is left has image zero, so each letter's piece lies in (R)_{m-1}
-            pending += [(piece, m - 1, (j,) + right)
-                        for j, piece in _by_last_letter(unsettled(self.field, terms)).items()]
+            pieces = {}
+            for word, v in unsettled(self.field, terms).items():
+                pieces.setdefault(word[-1:] + right, {})[word[:-1]] = v
+            pending += [(piece, m - 1, suffix) for suffix, piece in pieces.items()]
         return out
 
 

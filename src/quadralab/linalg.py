@@ -137,7 +137,10 @@ class SparseEchelon:
         A row's columns lie right of its pivot, so a popped column never
         comes back: each column enters the heap once, when it enters vec,
         and its value is settled when it leaves the heap.  combo values
-        are left unreduced, for ``_scaled`` to settle.
+        are left unreduced, for ``_scaled`` to settle.  Over a field that
+        is neither Q(i) nor F_p a popped value is coerced into the field,
+        so a residual and a pivot hold the field's own values whatever vec
+        held, as the other two paths coerce theirs.
         """
         if self.qi:
             return self._reduce_qi(vec, combo)
@@ -147,7 +150,7 @@ class SparseEchelon:
         heapq.heapify(heap)
         while heap:
             col = heapq.heappop(heap)
-            coeff = vec[col] % p if p else vec[col]
+            coeff = vec[col] % p if p else self.field.coerce(vec[col])
             if not coeff:
                 del vec[col]
                 continue

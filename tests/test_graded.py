@@ -237,12 +237,7 @@ class TestCertificates:
         # negating them and settling each letter step through settled made
         # 951 negations and 85 settled calls in this warm 951-term
         # degree-5 certificate
-        rng = random.Random(5)
-        f = FreeElement()
-        for _ in range(30):
-            word = tuple(rng.randrange(4) for _ in range(5))
-            f = f + FreeElement.from_word(word, gaussian(Fraction(rng.randint(1, 9), rng.randint(1, 7)),
-                                                         rng.randint(-2, 2)))
+        f = _words(random.Random(5), 5)
         h = f - sklyanin.normal_form(f)
         tower = sklyanin.tower(backend)
         tower.certificate(h, 5)
@@ -276,6 +271,16 @@ def tampered(cert):
         shifted = (left + right[:1], k, right[1:], coeff)
     for first in [(left, k, right, coeff + coeff), (left, (k + 1) % 6, right, coeff), shifted]:
         yield [first] + cert[1:]
+
+
+def _words(rng, n, count=30):
+    """A seeded sum of count degree-n words, coefficients (1..9)/(1..7) + (-2..2)i."""
+    f = FreeElement()
+    for _ in range(count):
+        word = tuple(rng.randrange(4) for _ in range(n))
+        f = f + FreeElement.from_word(word, gaussian(Fraction(rng.randint(1, 9), rng.randint(1, 7)),
+                                                     rng.randint(-2, 2)))
+    return f
 
 
 def _seeded_member(space, n, rng):
@@ -327,17 +332,47 @@ class TestReadSide:
                 assert tower.coordinates(f, n) == expected
         assert tower.mu(n) == before
 
+    @pytest.mark.parametrize("backend", ["exact", "modular"])
+    @pytest.mark.parametrize("params", [(2, 3, 5), (2, -3, Fraction(-1, 5)), (1, 2, -1)])
+    def test_classes_match_a_word_by_word_reference(self, params, backend):
+        # the breadth-first contraction against mu composed along each word
+        # on its own, in the field's arithmetic, the settled classes summed;
+        # (1, 2, -1) is a degenerate point, alpha + beta + gamma + alpha*beta*gamma = 0
+        space = sklyanin_relations(*params)
+        tower = GradedQuotient(space).tower(backend)
+        field = tower.field
+        rng = random.Random(73)
+
+        def reference(f, n):
+            mu = [None] + [[[settled(field, row) for row in mu_j] for mu_j in tower.mu(d)]
+                           for d in range(1, n + 1)]
+            total = {}
+            for word, value in f.terms.items():
+                cls = {word[0]: field.coerce(value)}
+                for d, letter in enumerate(word[1:], start=2):
+                    step = {}
+                    for k, c in cls.items():
+                        for i, v in mu[d][letter][k].items():
+                            step[i] = step[i] + c * v if i in step else c * v
+                    cls = {i: r for i, v in step.items() if (r := field.coerce(v))}
+                for i, v in cls.items():
+                    total[i] = total[i] + v if i in total else v
+            return {i: r for i, v in total.items() if (r := field.coerce(v))}
+
+        for n in range(1, 7):
+            words = [_words(rng, n, 1) for _ in range(4)] + [_words(rng, n)]
+            members = [_seeded_member(space, n, rng) for _ in range(3)] if n >= 2 else []
+            for f in words + members:
+                assert tower.coordinates(f, n) == reference(f, n)
+            for h in members:
+                assert tower.coordinates(h, n) == {}
+
     def test_normal_form_makes_no_scalar_products_or_sums(self, monkeypatch):
         # a count, not a timing: reading the class with GaussianRational
         # arithmetic would make 833 products and 454 sums here
         quotient = GradedQuotient(sklyanin_relations(2, -3, Fraction(-1, 5)))
         quotient.tower().mu(5)
-        rng = random.Random(101)
-        f = FreeElement()
-        for _ in range(30):
-            word = tuple(rng.randrange(4) for _ in range(5))
-            f = f + FreeElement.from_word(word, gaussian(Fraction(rng.randint(1, 9), rng.randint(1, 7)),
-                                                         rng.randint(-2, 2)))
+        f = _words(random.Random(101), 5)
         calls = []
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
             original = getattr(GaussianRational, name)
@@ -348,6 +383,21 @@ class TestReadSide:
         monkeypatch.undo()
         assert calls == []
         assert form and quotient.contains(f - form)
+
+    def test_normal_form_makes_one_row_update_per_coordinate_carried(self, monkeypatch):
+        # a count, not a timing: reading this class letter by letter,
+        # recursing on the last letter, made 234 row updates over 715
+        # entries; the breadth-first read makes the same ones
+        quotient = GradedQuotient(sklyanin_relations(2, -3, Fraction(-1, 5)))
+        tower = quotient.tower()
+        tower.mu(5)
+        f = _words(random.Random(101), 5)
+        updates = []
+        add = tower._add
+        monkeypatch.setattr(tower, "_add", lambda acc, heap, coeff, row:
+                            updates.append(len(row)) or add(acc, heap, coeff, row))
+        quotient.normal_form(f)
+        assert (len(updates), sum(updates)) == (234, 715)
 
 
 class TestWriteSide:

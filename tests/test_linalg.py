@@ -316,6 +316,17 @@ def test_function_field_combos_re_expand(data):
         assert {c: r for c, r in expanded.items() if r} == v
 
 
+def test_function_field_values_are_coerced():
+    # a bare int is a constant of Q(i)(t): reduce hands it back as the
+    # field's own value, and insert can invert it as a pivot
+    ech = SparseEchelon(QT)
+    residual = ech.reduce({0: 3})
+    assert residual == {0: QT.coerce(3)} and type(residual[0]) is RationalFunction
+    assert ech.insert({0: 2, 1: T}) == 0
+    assert ech.rows == [{1: T * QT.coerce(2).inverse()}]
+    assert ech.reduce({0: 4, 1: T + T}) == {}
+
+
 @SEEDED
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_triple_inverse_is_the_gaussian_inverse(x, y, d):
