@@ -34,8 +34,8 @@ The tower holds its values as the kernel does, over F_p plain ints in
 [0, p) (Python integers, so nothing overflows) and over Q(i) reduced
 (x, y, d) int triples, and one code path serves both fields: the
 relations are converted once (``linalg.unsettled``), the image rows are
-summed from mu's values by the field's row update (``linalg.add_multiple``
-or ``add_multiple_qi``) and reach the kernel unreduced, which settles
+summed from mu's values by the kernel's own row update for the field
+(``linalg.kernel_form``) and reach the kernel unreduced, which settles
 each value, and drops it if it is zero, once, when its column comes up
 in the elimination; mu is read off the kernel's rows (``pivot_residual``)
 in the same form, so building the tower over Q(i) makes no
@@ -85,7 +85,7 @@ from itertools import product
 
 from .errors import DegreeCapExceeded, InvalidInput, NotInvertible, PreconditionViolated
 from .freealg import NGENS, FreeElement, commutator, from_vector, generators, index_word, word_index
-from .linalg import SparseEchelon, add_multiple, add_multiple_qi, settled, unsettled
+from .linalg import SparseEchelon, kernel_form, settled, unsettled
 from .poly import FunctionField, MacaulaySlice, RationalFunction
 from .presentations import RelationSpace
 from .scalars import GaussianRational, PrimeField, DEFAULT_PRIME, QQi, RationalField, gaussian
@@ -135,13 +135,10 @@ class QuotientTower:
     """
 
     def __init__(self, field, rows):
-        self.field = field
-        if isinstance(field, PrimeField):
-            self._add, self.one = add_multiple, field.one()
-        elif isinstance(field, RationalField):
-            self._add, self.one = add_multiple_qi, (1, 0, 1)
-        else:
+        if not isinstance(field, (PrimeField, RationalField)):
             raise PreconditionViolated("the quotient tower is built over Q(i) or F_p only")
+        self.field = field
+        self._add, self.one, _ = kernel_form(field)
         # the relations (column a*4+b -> coefficient of x_a x_b) and their negatives
         self.rows = [unsettled(field, row) for row in rows]
         self._minus_rows = [unsettled(field, {c: -v for c, v in row.items()}) for row in rows]

@@ -21,18 +21,22 @@ elimination are (x, y, d) int triples, (x + y*i)/d with d > 0
 (``add_multiple_qi``).  A stored triple is reduced, gcd(x, y, d) = 1;
 under elimination a product is not reduced, and a sum is taken over the
 lcm of the two denominators and divided by its gcd only when that lcm is
-larger than both.  A column's value is settled
-when the column is popped (over F_p taken mod p, over Q(i) divided by one
-gcd; dropped if it is zero), and every column of the vector is popped
-exactly once, so what the kernel stores is canonical.  The pivot inverse
-and the row scaling in ``insert`` are taken on triples too.  Values leave
-the kernel as ``GaussianRational``s only at ``reduce`` and
-``reduce_with_combo``, which convert their results once (``public``), and
-at ``settled``; ``pivot_residual`` and ``held_combo`` hand out triples.
+larger than both.  One reduction loop (``_reduce``) serves every field,
+and a column's value is settled when the column is popped (over F_p taken
+mod p, over Q(i) divided by one gcd, over any other field coerced into
+it; dropped if it is zero), the one step of the loop that depends on the
+field.  Every column of the vector is popped exactly once, so what the
+kernel stores is canonical.  The pivot inverse and the row scaling in
+``insert`` are taken on triples too.  Values leave the kernel as
+``GaussianRational``s only at ``reduce`` and ``reduce_with_combo``, which
+convert their results once (``public``), and at ``settled``;
+``pivot_residual`` and ``held_combo`` hand out triples.
 
-For both fields ``unsettled`` is the way into the kernel's form and
-``settled`` the way out; the quotient tower builds, reads and certifies
-between the two, with its field's row update as the one other difference.
+``kernel_form`` picks a field's row update and its one and minus one in
+that form, for the echelon and the quotient tower alike.  For both Q(i)
+and F_p ``unsettled`` is the way into the kernel's form and ``settled``
+the way out; the quotient tower builds, reads and certifies between the
+two.
 
 ``SparseEchelon`` is the one elimination kernel: relation spaces, the
 quotient tower and Macaulay slices all use it.
@@ -47,8 +51,7 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
-from .errors import NotInvertible
-from .scalars import GaussianRational, PrimeField, RationalField, _qi, _reduced
+from .scalars import GaussianRational, PrimeField, RationalField, _inverse, _qi, _reduced, _triple
 
 
 def unsettled(field, vec):
@@ -81,26 +84,17 @@ def settled(field, vec):
     return {k: _reduced(x, y, d) for k, (x, y, d) in vec.items() if x or y}
 
 
-def _triple(x, y, d):
-    """(x + y*i)/d, d > 0, as its reduced triple: divided through by gcd(x, y, d)."""
-    if d != 1:
-        g = gcd(x, y, d)
-        if g != 1:
-            return x // g, y // g, d // g
-    return x, y, d
+def kernel_form(field):
+    """(row update, one, minus one) as the kernel holds and sums field's values.
 
-
-def _inverse(x, y, d):
-    """1 / ((x + y*i)/d) for a reduced triple: (d*x, -d*y, x^2 + y^2), reduced.
-
-    A real x is prime to d, so d/x needs only its sign fixed; zero raises
-    ``NotInvertible``.
+    Over Q(i) ``add_multiple_qi`` on (x, y, d) triples; over F_p and any
+    other field ``add_multiple`` on the field's own values (plain ints over
+    F_p).
     """
-    if not y:
-        if not x:
-            raise NotInvertible((x, y, d), "zero in Q(i)")
-        return (d, 0, x) if x > 0 else (-d, 0, -x)
-    return _triple(d * x, -d * y, x * x + y * y)
+    if isinstance(field, RationalField):
+        return add_multiple_qi, (1, 0, 1), (-1, 0, 1)
+    one = field.one()
+    return add_multiple, one, -one
 
 
 class SparseEchelon:
@@ -118,8 +112,7 @@ class SparseEchelon:
         self.track = track
         self.p = field.p if isinstance(field, PrimeField) else None
         self.qi = isinstance(field, RationalField)
-        self.one = (1, 0, 1) if self.qi else field.one()
-        self.minus_one = (-1, 0, 1) if self.qi else -field.one()
+        self._add, self.one, self.minus_one = kernel_form(field)
         self.rows = []        # list[dict[int, scalar]], the entries right of each pivot
         self.pivot_of = {}    # column -> row index
         self.combos = []      # parallel to rows when track=True
@@ -136,73 +129,52 @@ class SparseEchelon:
 
         A row's columns lie right of its pivot, so a popped column never
         comes back: each column enters the heap once, when it enters vec,
-        and its value is settled when it leaves the heap.  combo values
-        are left unreduced, for ``_scaled`` to settle.  Over a field that
-        is neither Q(i) nor F_p a popped value is coerced into the field,
-        so a residual and a pivot hold the field's own values whatever vec
-        held, as the other two paths coerce theirs.
-        """
-        if self.qi:
-            return self._reduce_qi(vec, combo)
-        p = self.p
-        rows, pivot_of = self.rows, self.pivot_of
-        heap = list(vec)
-        heapq.heapify(heap)
-        while heap:
-            col = heapq.heappop(heap)
-            coeff = vec[col] % p if p else self.field.coerce(vec[col])
-            if not coeff:
-                del vec[col]
-                continue
-            ridx = pivot_of.get(col)
-            if ridx is None:
-                vec[col] = coeff
-                continue
-            del vec[col]
-            add_multiple(vec, heap, -coeff, rows[ridx])
-            if combo is not None:
-                add_multiple(combo, None, -coeff, self.combos[ridx])
-        return vec
-
-    def _reduce_qi(self, vec, combo):
-        """``_reduce`` over Q(i), on (x, y, d) int triples.
-
-        vec's values are ``GaussianRational``s, triples or anything the field
-        coerces.  While a column is in the heap its value is a triple
-        (x + y*i)/d with d > 0, not necessarily reduced (``add_multiple_qi``
-        says when an update reduces it).  When the column is popped its
-        triple is reduced with one gcd (or dropped if it is zero), so the
-        pivot coefficient is reduced before it is used and the residual
-        holds reduced triples.  combo accumulates triples the same way and
-        is left unreduced, for its reader to settle.
+        and its value is settled when it leaves the heap, the one step that
+        depends on the field: over F_p taken mod p; over Q(i) a nonzero
+        triple divided by one gcd (kept as it is when it needs none); over
+        any other field coerced into the field, so a residual and a pivot
+        hold the field's own values whatever vec held.  A zero is dropped.
+        Over Q(i) vec's values are ``GaussianRational``s, triples or
+        anything the field coerces, and become triples first; while a
+        column is in the heap its triple (x + y*i)/d, d > 0, need not be
+        reduced (``add_multiple_qi`` says when an update reduces it).  combo
+        values are left unreduced, for ``_scaled`` to settle.
         """
         rows, pivot_of, combos = self.rows, self.pivot_of, self.combos
-        coerce = self.field.coerce
-        for c, v in vec.items():
-            if type(v) is not tuple:
-                if type(v) is not GaussianRational:
-                    v = coerce(v)
-                vec[c] = (v.x, v.y, v.d)
+        add, p, qi = self._add, self.p, self.qi
+        if qi:
+            for c, v in vec.items():
+                if type(v) is not tuple:
+                    if type(v) is not GaussianRational:
+                        v = self.field.coerce(v)
+                    vec[c] = (v.x, v.y, v.d)
         heap = list(vec)
         heapq.heapify(heap)
         while heap:
             col = heapq.heappop(heap)
-            x, y, d = vec[col]
-            if not (x or y):
+            v = vec[col]
+            if p:
+                v %= p
+            elif qi:
+                x, y, d = v
+                if not (x or y):
+                    v = 0
+                elif d != 1 and (g := gcd(x, y, d)) != 1:
+                    x, y, d = v = x // g, y // g, d // g
+            else:
+                v = self.field.coerce(v)
+            if not v:
                 del vec[col]
                 continue
-            if d != 1:
-                g = gcd(x, y, d)
-                if g != 1:
-                    x, y, d = x // g, y // g, d // g
             ridx = pivot_of.get(col)
             if ridx is None:
-                vec[col] = (x, y, d)
+                vec[col] = v
                 continue
             del vec[col]
-            add_multiple_qi(vec, heap, (-x, -y, d), rows[ridx])
+            neg = (-x, -y, d) if qi else -v
+            add(vec, heap, neg, rows[ridx])
             if combo is not None:
-                add_multiple_qi(combo, None, (-x, -y, d), combos[ridx])
+                add(combo, None, neg, combos[ridx])
         return vec
 
     def public(self, vec):

@@ -178,13 +178,9 @@ class GaussianRational(FieldOps):
         return self
 
     def inverse(self):
-        x, y, d = self.x, self.y, self.d
-        if not y:
-            if not x:
-                raise NotInvertible(self, "zero in Q(i)")
-            # gcd(x, d) = 1, so d/x needs only its sign fixed
-            return _qi(d, 0, x) if x > 0 else _qi(-d, 0, -x)
-        return _reduced(d * x, -d * y, x * x + y * y)
+        if not (self.x or self.y):
+            raise NotInvertible(self, "zero in Q(i)")
+        return _qi(*_inverse(self.x, self.y, self.d))
 
     # -- comparisons / hashing ------------------------------------------
 
@@ -244,6 +240,28 @@ def _reduced(x, y, d):
     _set_y(z, y)
     _set_d(z, d)
     return z
+
+
+def _triple(x, y, d):
+    """(x + y*i)/d, d > 0, as its reduced triple: divided through by gcd(x, y, d)."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            return x // g, y // g, d // g
+    return x, y, d
+
+
+def _inverse(x, y, d):
+    """1 / ((x + y*i)/d) for a reduced triple: (d*x, -d*y, x^2 + y^2), reduced.
+
+    A real x is prime to d, so d/x needs only its sign fixed; zero raises
+    ``NotInvertible``.
+    """
+    if not y:
+        if not x:
+            raise NotInvertible((x, y, d), "zero in Q(i)")
+        return (d, 0, x) if x > 0 else (-d, 0, -x)
+    return _triple(d * x, -d * y, x * x + y * y)
 
 
 QI_ZERO = GaussianRational(0)

@@ -17,8 +17,13 @@ re-expand to the input.  Over Q(i), whatever mix of non-real values, ints
 and Fractions it is given, every value the kernel stores (rows, combos,
 ``pivot_residual``) is a nonzero reduced (x, y, d) int triple, d > 0 and
 gcd(x, y, d) = 1, and every value ``reduce`` and ``reduce_with_combo``
-return is a nonzero ``GaussianRational`` in normal form.  The kernel's
-triple inverse is ``GaussianRational.inverse``.
+return is a nonzero ``GaussianRational`` in normal form.  Rows whose
+values are unreduced triples (x*g, y*g, d*g), with cancelled sums
+(0, 0, d) beside them, as the quotient tower hands its image rows to the
+kernel, give the pivots, rows, combos and residuals that the same rows
+of ``GaussianRational``s give.  The triple inverse ``scalars._inverse``,
+which the kernel and ``GaussianRational.inverse`` share, is reduced and
+times z is 1 by ``GaussianRational`` multiplication.
 The dense oracle ``mat_inverse`` (``tests/dense_oracle.py``), built on the
 tracked kernel, returns int residues over F_p whatever int representatives
 it is given; ``det4(a) % p`` is its singularity oracle.
@@ -34,9 +39,9 @@ from hypothesis import strategies as st
 
 from dense_oracle import identity_matrix, mat_inverse, mat_mul
 from quadralab.errors import NotInvertible
-from quadralab.linalg import SparseEchelon, _inverse, settled
+from quadralab.linalg import SparseEchelon, settled
 from quadralab.poly import FunctionField, PolyRing, RationalFunction, det4
-from quadralab.scalars import QI_I, GaussianRational, PrimeField, QQi
+from quadralab.scalars import QI_I, QI_ONE, GaussianRational, PrimeField, QQi, _inverse
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -292,6 +297,43 @@ def test_gaussian_values_are_in_normal_form(data):
         assert untracked.reduce({col: 1}) == settled(QQi, untracked.pivot_residual(col))
 
 
+def _as_triples(data, vec):
+    """vec as the quotient tower hands rows to the kernel: each value a
+    ``GaussianRational`` or, at random, its triple times some g >= 1, and
+    some free columns holding a cancelled sum (0, 0, d)."""
+    out = {}
+    for col in range(NCOLS):
+        z = vec.get(col)
+        if z is not None:
+            if data.draw(st.booleans()):
+                g = data.draw(st.integers(1, 12))
+                z = (z.x * g, z.y * g, z.d * g)
+            out[col] = z
+        elif data.draw(st.integers(0, 3)) == 0:
+            out[col] = (0, 0, data.draw(st.integers(1, 12)))
+    return out
+
+
+@SEEDED
+@given(data=st.data())
+def test_unreduced_and_zero_triples_reduce_as_their_values(data):
+    coerce = QQi.coerce
+    sources = [{c: coerce(v) for c, v in row.items()}
+               for row in _draw_rows(data, _QI_INPUTS, lambda v: v)]
+    probes = [{c: coerce(v) for c, v in data.draw(_vectors(_QI_INPUTS)).items()}
+              for _ in range(4)]
+    plain, triples = SparseEchelon(QQi, track=True), SparseEchelon(QQi, track=True)
+    for k, row in enumerate(sources):
+        assert plain.insert(row, tag=k) == triples.insert(_as_triples(data, row), tag=k)
+    assert plain.pivot_of == triples.pivot_of
+    assert plain.rows == triples.rows and plain.combos == triples.combos
+    for v in probes:
+        t = _as_triples(data, v)
+        assert plain.reduce(v) == triples.reduce(t)
+        assert plain.reduce_with_combo(v) == triples.reduce_with_combo(t)
+        assert plain.held_combo(v) == triples.held_combo(t)
+
+
 @SEEDED
 @given(data=st.data())
 def test_function_field_combos_re_expand(data):
@@ -335,8 +377,11 @@ def test_triple_inverse_is_the_gaussian_inverse(x, y, d):
         with pytest.raises(NotInvertible):
             _inverse(z.x, z.y, z.d)
         return
-    inverse = z.inverse()
-    assert _inverse(z.x, z.y, z.d) == (inverse.x, inverse.y, inverse.d)
+    inverse = _inverse(z.x, z.y, z.d)
+    assert _reduced_triple(inverse)
+    # z * z^-1 == 1, multiplied by GaussianRational.__mul__
+    u, v, e = inverse
+    assert z * GaussianRational(Fraction(u, e), Fraction(v, e)) == QI_ONE
 
 
 def test_triple_inverse_fixes_the_sign_and_refuses_zero():
