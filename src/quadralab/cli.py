@@ -88,6 +88,7 @@ def _print_table(payload, indent=0):
     elif isinstance(payload, list):
         for v in payload:
             if isinstance(v, (dict, list)):
+                print(f"{pad}-")
                 _print_table(v, indent + 1)
             else:
                 print(f"{pad}- {v}")

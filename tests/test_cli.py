@@ -213,6 +213,22 @@ class TestOtherCommands:
         assert payload["distinct"]
         assert payload["strata"]["0"][0] == ["1", "1/15", "1/10", "1/6"]
 
+    def test_points_table_marks_where_each_point_starts(self, capsys):
+        # a nested list item prints as "-" with its entries one level
+        # deeper, so the table shows where each point and each edge starts
+        payload = json.loads(run_cli(capsys, "points", "--abc", "2,3,5", "--format", "json")[1])
+        code, out, _ = run_cli(capsys, "points", "--abc", "2,3,5")
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("  inf:") + 1
+        assert lines[start:start + 20] == [line for point in payload["strata"]["inf"]
+                                           for line in ["    -", *(f"      - {x}" for x in point)]]
+        start = lines.index("graph:") + 1
+        assert lines[start:lines.index("distinct: True")] == [
+            line for edge in payload["graph"]
+            for line in ["  -", *(line for point in edge
+                                  for line in ["    -", *(f"      - {x}" for x in point)])]]
+
     def test_minors_symbolic(self, capsys):
         code, out, _ = run_cli(capsys, "minors", "--format", "json")
         assert code == 0

@@ -21,6 +21,11 @@ def heap_poppers(source: str, module: str):
     aliases = {a.asname or a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "heapq"
                for a in node.names if a.name == "heappop"}
+    return callers(tree, module, lambda func: _is_heappop(func, aliases))
+
+
+def callers(tree, module: str, is_target):
+    """Qualified names of the functions of tree whose own body calls a func is_target accepts."""
     found = []
 
     def visit(node, scope):
@@ -28,7 +33,7 @@ def heap_poppers(source: str, module: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
                 if not isinstance(child, ast.ClassDef) and any(
-                        isinstance(n, ast.Call) and _is_heappop(n.func, aliases)
+                        isinstance(n, ast.Call) and is_target(n.func)
                         for n in _own_nodes(child)):
                     found.append(".".join(inner))
                 visit(child, inner)
